@@ -13,7 +13,6 @@ from .channels import (
     cbe_operator,
     channel_from_dict,
     channel_to_dict,
-    compose,
     embed_channel,
     gate_channel,
     gate_target_unitary,
@@ -67,15 +66,11 @@ from .measure import (
     expectation_via_swap,
     hle_identity_check,
     pauli_expectation,
-    pauli_pair_expectation,
-    sample_pauli,
 )
 from .paulis import (
     PauliString,
     bell_frame,
     embed_operator,
-    kraus_block_identity,
-    matrixize,
     pauli_decompose,
     pauli_matrix,
     vectorize,
@@ -91,7 +86,6 @@ from .search import (
     rho_out_closed_form,
     run_protocol,
     sample_x_basis,
-    scan_all_targets,
 )
 
 __version__ = "0.1.0"

@@ -66,13 +66,21 @@ _PAULI_PAIRS_PROJECTOR = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausPairChannel:
-    """A list of (K_i, L_i) pairs with an optional block-encoding scale eta."""
+    """A tuple of (K_i, L_i) pairs with an optional block-encoding scale eta.
+
+    Building one runs check_cptp, so every channel that exists is trace
+    preserving and applying it needs no further check.
+    """
 
     n: int
-    pairs: list
+    pairs: tuple
     eta: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+        check_cptp(self)
 
 
 def check_cptp(ch: KrausPairChannel, atol: float = 1e-12) -> float:
@@ -99,7 +107,6 @@ def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
     """
     if state.n != ch.n:
         raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
-    check_cptp(ch)
     d = 2**ch.n
     rho = state.rho
     r00, r01 = rho[:d, :d], rho[:d, d:]
@@ -274,6 +281,7 @@ def channel_to_dict(ch: KrausPairChannel) -> dict:
 
 
 def channel_from_dict(data: dict) -> KrausPairChannel:
+    """Inverse of channel_to_dict; a non-trace-preserving channel raises ChannelError."""
     n = int(data["n"])
     dim = 2**n
     pairs = [

@@ -25,27 +25,23 @@ from .compiler import (
     program_to_dict,
     run_program,
 )
-from .encoding import (
-    block_coefficients,
-    encode_state_optimal,
-    ndme_block,
-    s_from_amplitudes,
-    sector_matrix,
-)
-from .errors import ParseError, SearchFailure
-from .lindblad import build_jumps, coherence_steadiness, evolve, ite_reference, parse_hamiltonian
+from .encoding import encode_state_optimal, s_from_amplitudes
+from .errors import DimensionError, ParseError, SearchFailure
+from .lindblad import coherence_steadiness, ite_block_residual, parse_hamiltonian
 from .measure import MeasurementRecord, amplitude_via_pauli
 from .paulis import X, kron_all, HADAMARD
 from .search import SearchOracle, end_to_end_search, run_protocol, sample_x_basis
 from .suites import split_seeds
 
 SCHEMA_VERSION = 1
+# The desk scale of the dense amplitude pipeline and its statevector check.
+MAX_AMPLITUDE_QUBITS = 10
 SEED_RULE = "numpy SeedSequence(seed).spawn, one child per suite in report order"
 
 
 def _emit(report: dict, fmt: str, csv_rows=None) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return
     rows = csv_rows if csv_rows is not None else [report]
     keys = sorted({k for row in rows for k in row})
@@ -87,6 +83,10 @@ def cmd_amplitude(args) -> int:
     with open(args.circuit) as fh:
         circ = parse_circuit(fh.read())
     n = circ.n
+    if n > MAX_AMPLITUDE_QUBITS:
+        raise DimensionError(
+            f"amplitude is capped at {MAX_AMPLITUDE_QUBITS} qubits, circuit has {n}"
+        )
     alpha = _bits_arg(args.alpha, n) if args.alpha else "0" * n
     prog = compile_circuit(circ)
     plus = np.full(2**n, 2.0 ** (-n / 2))
@@ -148,17 +148,6 @@ def _ground_coherence_matrix(h):
     return None
 
 
-def _lindblad_run(h, state0, t_max, dt, record_every):
-    jumps = build_jumps(h)
-    traj = evolve(state0, jumps, t_max=t_max, dt=dt, record_every=record_every)
-    c0 = block_coefficients(state0.block()) / state0.gamma
-    worst = 0.0
-    for t, snap in zip(traj.times, traj.states):
-        want = state0.gamma * sector_matrix(ite_reference(c0, h, t))
-        worst = max(worst, float(np.abs(ndme_block(snap.rho) - want).max()))
-    return traj, worst
-
-
 def cmd_lindblad(args) -> int:
     with open(args.hamiltonian) as fh:
         h = parse_hamiltonian(fh.read())
@@ -166,7 +155,7 @@ def cmd_lindblad(args) -> int:
     plus = np.full(2**n, 2.0 ** (-n / 2))
     state0 = encode_state_optimal(plus)
     record_every = max(1, int(round(0.01 / args.dt)))
-    traj, block_residual = _lindblad_run(h, state0, args.t_max, args.dt, record_every)
+    traj, block_residual = ite_block_residual(state0, h, args.t_max, args.dt, record_every)
 
     _, e_g = oracle.ground_projector(h)
     frustration_free = abs(e_g + h.rate_sum()) < 1e-9
@@ -199,9 +188,9 @@ def cmd_lindblad(args) -> int:
         report["decay_rate_expected"] = float(rate_expected)
         ok = ok and abs(-slope - rate_expected) / rate_expected < 0.05
     if args.dt_audit:
-        coarse = 0.08
-        _, r_coarse = _lindblad_run(h, state0, args.t_max, coarse, 1000)
-        _, r_fine = _lindblad_run(h, state0, args.t_max, coarse / 2, 1000)
+        coarse = args.t_max / max(1, round(args.t_max / 0.08))
+        _, r_coarse = ite_block_residual(state0, h, args.t_max, coarse, 1000)
+        _, r_fine = ite_block_residual(state0, h, args.t_max, coarse / 2, 1000)
         report["dt_audit_ratio"] = float(r_coarse / r_fine) if r_fine > 0 else None
     report["pass"] = bool(ok)
     if args.trajectory_csv:

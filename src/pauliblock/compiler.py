@@ -19,7 +19,7 @@ from .channels import (
     gate_channel,
 )
 from .encoding import NdmeState
-from .errors import ChannelError, DimensionError, ParseError
+from .errors import ChannelError, DimensionError, ParseError, read_qubit_text
 
 GATE_ARITY = {"H": 1, "S": 1, "T": 1, "CNOT": 2}
 _GATE_TO_CHANNEL = {"H": "H", "S": "HSH", "T": "HTH", "CNOT": "HH_CNOT_HH"}
@@ -36,23 +36,10 @@ def parse_circuit(text: str) -> Circuit:
 
     '#' starts a comment; blank lines are skipped.
     """
-    n = None
+    n, body = read_qubit_text(text)
     gates = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in body:
         tokens = line.split()
-        if n is None:
-            if tokens[0].lower() != "qubits" or len(tokens) != 2:
-                raise ParseError(lineno, "expected header 'qubits <n>'")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad qubit count {tokens[1]!r}") from None
-            if n < 1:
-                raise ParseError(lineno, "qubit count must be positive")
-            continue
         name = tokens[0].upper()
         if name not in GATE_ARITY:
             raise ParseError(lineno, f"unknown gate {tokens[0]!r}")
@@ -68,8 +55,6 @@ def parse_circuit(text: str) -> Circuit:
         if arity == 2 and qubits[0] == qubits[1]:
             raise ParseError(lineno, "CNOT needs two distinct qubits")
         gates.append((name, qubits))
-    if n is None:
-        raise ParseError(1, "missing 'qubits <n>' header")
     return Circuit(n=n, gates=tuple(gates))
 
 

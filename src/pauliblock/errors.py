@@ -21,6 +21,36 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def read_qubit_text(text: str):
+    """Split circuit or Hamiltonian text into its qubit count and body lines.
+
+    '#' starts a comment and blank lines are skipped; the first remaining
+    line must be the header "qubits <n>".  Returns (n, [(lineno, line)])
+    with each body line stripped of its comment and surrounding space.
+    """
+    n = None
+    body = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n is not None:
+            body.append((lineno, line))
+            continue
+        tokens = line.split()
+        if tokens[0].lower() != "qubits" or len(tokens) != 2:
+            raise ParseError(lineno, "expected header 'qubits <n>'")
+        try:
+            n = int(tokens[1])
+        except ValueError:
+            raise ParseError(lineno, f"bad qubit count {tokens[1]!r}") from None
+        if n < 1:
+            raise ParseError(lineno, "qubit count must be positive")
+    if n is None:
+        raise ParseError(1, "missing 'qubits <n>' header")
+    return n, body
+
+
 class IntegratorError(RuntimeError):
     """Trajectory integration drifted outside its stability tolerances."""
 

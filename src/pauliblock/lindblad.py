@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .encoding import NdmeState, block_coefficients
-from .errors import DimensionError, IntegratorError, ParseError
+from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix
+from .errors import DimensionError, IntegratorError, ParseError, read_qubit_text
 from .paulis import PauliString, X, bell_frame, num_qubits, pauli_matrix
 
 # Per-letter factors (k, l, l_sign) with U_B (k (x) conj(sign*l)) U_B^dag = I (x) letter.
@@ -47,23 +47,10 @@ class PauliHamiltonian:
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
     """Parse lines "<lambda> <sign><letters>" under a "qubits n" header."""
-    n = None
+    n, body = read_qubit_text(text)
     terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in body:
         tokens = line.split()
-        if n is None:
-            if tokens[0].lower() != "qubits" or len(tokens) != 2:
-                raise ParseError(lineno, "expected header 'qubits <n>'")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad qubit count {tokens[1]!r}") from None
-            if n < 1:
-                raise ParseError(lineno, "qubit count must be positive")
-            continue
         if len(tokens) != 2:
             raise ParseError(lineno, "expected '<lambda> <signed Pauli string>'")
         try:
@@ -72,6 +59,8 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
             raise ParseError(lineno, f"bad weight {tokens[0]!r}") from None
         if lam < 0:
             raise ParseError(lineno, "weights must be nonnegative")
+        if not np.isfinite(lam):
+            raise ParseError(lineno, "weights must be finite")
         try:
             p = PauliString.from_label(tokens[1])
         except ValueError as exc:
@@ -81,8 +70,6 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
         if p.n != n:
             raise ParseError(lineno, f"string has {p.n} letters, expected {n}")
         terms.append((lam, p))
-    if n is None:
-        raise ParseError(1, "missing 'qubits <n>' header")
     return PauliHamiltonian(n=n, terms=tuple(terms))
 
 
@@ -192,8 +179,10 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step classical RK4 integration of the dissipator.
 
-    Snapshots are recorded every record_every steps (plus start and end).
-    Trace drift beyond 1e-6 aborts with IntegratorError.
+    t_max must be a whole number of steps (to a relative 1e-9), so the
+    trajectory ends exactly at t_max.  Snapshots are recorded every
+    record_every steps (plus start and end).  Trace drift beyond 1e-6
+    aborts with IntegratorError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -201,9 +190,11 @@ def evolve(
         raise ValueError("t_max must be at least dt")
     if state0.n != jumps.n:
         raise DimensionError("state and jump set disagree on qubit count")
+    steps = int(round(t_max / dt))
+    if abs(t_max / dt - steps) > 1e-9 * (t_max / dt):
+        raise ValueError(f"t_max={t_max} is not a whole number of steps of dt={dt}")
     d = 2**jumps.n
     mats = [(lam, p1.matrix(), p2.matrix()) for lam, p1, p2 in jumps.jumps]
-    steps = int(round(t_max / dt))
     rho = state0.rho.astype(complex).copy()
 
     times = [0.0]
@@ -239,6 +230,23 @@ def ite_reference(psi0, h: PauliHamiltonian, t: float) -> np.ndarray:
         raise DimensionError("dense propagator capped at 6 qubits")
     generator = h.matrix() + h.rate_sum() * np.eye(2**n)
     return oracle.herm_exp(generator, t) @ psi0
+
+
+def ite_block_residual(
+    state0: NdmeState, h: PauliHamiltonian, t_max: float, dt: float, record_every: int
+):
+    """Evolve state0 under the jumps of h and compare every snapshot with ITE.
+
+    Returns (trajectory, worst max-entry residual of the encoded block
+    against gamma0 * S(ite_reference(c0, h, t))) over the recorded times.
+    """
+    traj = evolve(state0, build_jumps(h), t_max=t_max, dt=dt, record_every=record_every)
+    c0 = block_coefficients(state0.block()) / state0.gamma
+    worst = 0.0
+    for t, snap in zip(traj.times, traj.states):
+        want = state0.gamma * sector_matrix(ite_reference(c0, h, t))
+        worst = max(worst, float(np.abs(ndme_block(snap.rho) - want).max()))
+    return traj, worst
 
 
 def coherence_steadiness(trajectory: Trajectory, O: np.ndarray) -> float:

@@ -203,60 +203,47 @@ def sample_x_basis(rho_out: np.ndarray, shots: int, seed) -> SampleBatch:
     return SampleBatch(outcomes=outcomes, seed=seed, accepted_mask=~rejected)
 
 
-def gf2_solve(A: np.ndarray, b: np.ndarray):
-    """Solve A r = b over GF(2); None unless the solution is unique."""
-    A = np.asarray(A, dtype=np.uint8) % 2
-    b = np.asarray(b, dtype=np.uint8) % 2
-    rows, cols = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1).astype(np.uint8)
+def _gf2_eliminate(M: np.ndarray, cols: int):
+    """Gauss-Jordan elimination over GF(2), pivoting on the first cols columns.
+
+    Returns the reduced copy of M and its pivot columns in row order.
+    """
+    M = np.asarray(M, dtype=np.uint8) % 2
+    rows = M.shape[0]
     pivot_cols = []
-    r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if aug[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[[r, pivot]] = aug[[pivot, r]]
-        for i in range(rows):
-            if i != r and aug[i, c]:
-                aug[i] ^= aug[r]
-        pivot_cols.append(c)
-        r += 1
+        r = len(pivot_cols)
         if r == rows:
             break
+        nonzero = np.flatnonzero(M[r:, c])
+        if nonzero.size == 0:
+            continue
+        pivot = r + int(nonzero[0])
+        M[[r, pivot]] = M[[pivot, r]]
+        for i in range(rows):
+            if i != r and M[i, c]:
+                M[i] ^= M[r]
+        pivot_cols.append(c)
+    return M, pivot_cols
+
+
+def gf2_solve(A: np.ndarray, b: np.ndarray):
+    """Solve A r = b over GF(2); None unless the solution is unique."""
+    A = np.asarray(A, dtype=np.uint8)
+    cols = A.shape[1]
+    aug, pivot_cols = _gf2_eliminate(np.column_stack([A, np.asarray(b, dtype=np.uint8)]), cols)
     if len(pivot_cols) < cols:
         return None  # underdetermined
-    if np.any(aug[r:, cols]):
+    if np.any(aug[len(pivot_cols):, cols]):
         return None  # inconsistent
     x = np.zeros(cols, dtype=np.uint8)
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i, cols]
+    x[pivot_cols] = aug[: len(pivot_cols), cols]
     return x
 
 
 def gf2_rank(A: np.ndarray) -> int:
-    A = np.asarray(A, dtype=np.uint8).copy() % 2
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if A[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        for i in range(rows):
-            if i != rank and A[i, c]:
-                A[i] ^= A[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    A = np.asarray(A, dtype=np.uint8)
+    return len(_gf2_eliminate(A, A.shape[1])[1])
 
 
 def extract_target(batch: SampleBatch):

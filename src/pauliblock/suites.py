@@ -21,14 +21,13 @@ from .encoding import (
     hadamard_transform,
     ndme_block,
     s_from_amplitudes,
-    sector_matrix,
 )
 from .lindblad import (
     PauliHamiltonian,
     build_jumps,
     coherence_steadiness,
     evolve,
-    ite_reference,
+    ite_block_residual,
     parse_hamiltonian,
     validate_jumps,
 )
@@ -300,23 +299,13 @@ BELL_HAMILTONIAN = "qubits 2\n1.0 -ZZ\n1.0 -XX\n"
 FRUSTRATED_HAMILTONIAN = "qubits 1\n1.0 +X\n1.0 +Z\n"
 
 
-def _ite_block_residual(state0: NdmeState, h: PauliHamiltonian, t_max: float, dt: float) -> float:
-    jumps = build_jumps(h)
-    traj = evolve(state0, jumps, t_max=t_max, dt=dt, record_every=max(1, int(round(0.5 / dt))))
-    c0 = block_coefficients(state0.block()) / state0.gamma
-    worst = 0.0
-    for t, snap in zip(traj.times, traj.states):
-        want = state0.gamma * sector_matrix(ite_reference(c0, h, t))
-        worst = max(worst, float(np.abs(ndme_block(snap.rho) - want).max()))
-    return worst
-
-
 def ite_suite(seed, tol: float = 1e-6, rate_tol: float = 0.05, dt: float = 1e-3) -> dict:
     """Imaginary-time equivalence, decay of frustrated cases, subspace ranks."""
     rng = np.random.default_rng(seed)
     bell = parse_hamiltonian(BELL_HAMILTONIAN)
     plusplus = np.full(4, 0.5)
-    worst_block = _ite_block_residual(encode_state_optimal(plusplus), bell, 3.0, dt)
+    record = max(1, int(round(0.5 / dt)))
+    _, worst_block = ite_block_residual(encode_state_optimal(plusplus), bell, 3.0, dt, record)
 
     worst_jumps = 0.0
     worst_rank = 0.0
@@ -330,9 +319,8 @@ def ite_suite(seed, tol: float = 1e-6, rate_tol: float = 0.05, dt: float = 1e-3)
         expected_dim = 2 ** (n - len(h.terms))
         worst_rank = max(worst_rank, abs(np.trace(proj).real - expected_dim))
         c = oracle.random_statevector(n, rng)
-        worst_block = max(
-            worst_block, _ite_block_residual(encode_state_optimal(c), h, 2.0, dt)
-        )
+        _, residual = ite_block_residual(encode_state_optimal(c), h, 2.0, dt, record)
+        worst_block = max(worst_block, residual)
 
     frustrated = parse_hamiltonian(FRUSTRATED_HAMILTONIAN)
     _, e_g = oracle.ground_projector(frustrated)
@@ -448,7 +436,12 @@ def oracle_identity_suite(seed, tol: float = 1e-12) -> dict:
 
 
 def search_suite(seed, runs: int = 200, ns=(3, 4, 5, 6, 7, 8)) -> dict:
-    """Planted-target recovery statistics and query-count scaling."""
+    """Planted-target recovery statistics and query-count scaling.
+
+    runs must be at least 2: the per-n standard error needs two samples.
+    """
+    if runs < 2:
+        raise ValueError(f"search_suite needs runs >= 2, got {runs}")
     child_seeds = split_seeds(seed, len(ns))
     per_n = []
     for n, child in zip(ns, child_seeds):

@@ -124,10 +124,24 @@ def test_x_channel_flips_basis_state():
 
 
 def test_apply_channel_rejects_non_cptp():
-    bad = KrausPairChannel(n=1, pairs=[(I2 * 0.5, I2 * 0.5)], eta=None)
-    st = encode_state_optimal([1, 0])
+    # validation moved to construction: a bad channel never reaches apply_channel
     with pytest.raises(ChannelError):
-        apply_channel(bad, st)
+        KrausPairChannel(n=1, pairs=[(I2 * 0.5, I2 * 0.5)], eta=None)
+
+
+def test_apply_channel_does_not_recheck(monkeypatch):
+    import pauliblock.channels as channels
+
+    ch = gate_channel("H")
+    monkeypatch.setattr(channels, "check_cptp", lambda *a, **k: pytest.fail("re-checked"))
+    apply_channel(ch, encode_state_optimal([1, 0]))
+
+
+def test_channel_pairs_are_frozen():
+    ch = gate_channel("X")
+    assert isinstance(ch.pairs, tuple)
+    with pytest.raises(AttributeError):
+        ch.eta = 2.0
 
 
 def test_apply_channel_dimension_mismatch():

@@ -213,3 +213,45 @@ def test_all_propagates_suite_failure(capsys, monkeypatch):
     code, out, _ = run_cli(["all", "--seed", "0", "--search-runs", "2"], capsys)
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_search_sweep_single_run_is_input_error(capsys):
+    code, out, err = run_cli(["search", "--sweep", "3:4", "--runs", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "runs" in err
+
+
+def test_emit_refuses_non_finite_json(capsys):
+    with pytest.raises(ValueError):
+        cli._emit({"value": float("nan")}, "json")
+    assert capsys.readouterr().out == ""
+
+
+def test_lindblad_partial_step_is_input_error(tmp_path, capsys):
+    path = tmp_path / "frus.txt"
+    path.write_text(FRUSTRATED)
+    code, out, err = run_cli(
+        ["lindblad", "--hamiltonian", str(path), "--t-max", "1", "--dt", "0.7"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "whole number of steps" in err
+
+
+def test_lindblad_dt_audit_divides_t_max(tmp_path, capsys):
+    # 2.5 is not a multiple of 0.08; the audit's coarse step divides t_max
+    path = tmp_path / "frus.txt"
+    path.write_text(FRUSTRATED)
+    code, out, _ = run_cli(
+        ["lindblad", "--hamiltonian", str(path), "--t-max", "2.5", "--dt-audit"], capsys
+    )
+    assert code == 0
+    assert 10 < json.loads(out)["dt_audit_ratio"] < 22
+
+
+def test_amplitude_oversize_circuit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("qubits 16\nH 0\n")
+    code, out, err = run_cli(["amplitude", "--circuit", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(cli.MAX_AMPLITUDE_QUBITS) in err

@@ -43,12 +43,23 @@ def test_parse_hamiltonian_basic():
         ("qubits 2\n1.0 +iXX", 2),
         ("1.0 +X", 1),
         ("qubits 1\nz +X", 2),
+        ("qubits 1\nnan +X", 2),
+        ("qubits 1\ninf +X", 2),
     ],
 )
 def test_parse_hamiltonian_errors(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_hamiltonian(text)
     assert err.value.lineno == lineno
+
+
+def test_evolve_rejects_partial_final_step():
+    state0 = encode_state_optimal(np.full(2, 2.0**-0.5))
+    jumps = build_jumps(parse_hamiltonian(FRUSTRATED))
+    with pytest.raises(ValueError):
+        evolve(state0, jumps, t_max=1.0, dt=0.7)
+    traj = evolve(state0, jumps, t_max=0.3, dt=0.1)
+    assert traj.times[-1] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_build_jumps_single_qubit_fixtures():
