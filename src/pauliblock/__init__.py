@@ -63,6 +63,7 @@ from .lindblad import (
 from .measure import (
     MeasurementRecord,
     amplitude_via_pauli,
+    assistant_traces,
     expectation_via_swap,
     hle_identity_check,
     pauli_expectation,

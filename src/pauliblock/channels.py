@@ -250,12 +250,20 @@ def compose(first: KrausPairChannel, then: KrausPairChannel) -> KrausPairChannel
 
 
 def embed_channel(ch: KrausPairChannel, qubits, n: int) -> KrausPairChannel:
-    """Lift a channel onto the given qubits of an n-qubit encoding system."""
-    pairs = [
+    """Lift a channel onto the given qubits of an n-qubit encoding system.
+
+    The lift is not checked again: its Kraus sums are the base channel's
+    sums tensored with the identity, sum (K (x) I)^dag (K (x) I) =
+    (sum K^dag K) (x) I, and the base channel was checked when it was built.
+    """
+    lifted = object.__new__(KrausPairChannel)
+    pairs = tuple(
         (embed_operator(K, qubits, n), embed_operator(L, qubits, n))
         for K, L in ch.pairs
-    ]
-    return KrausPairChannel(n=n, pairs=pairs, eta=ch.eta)
+    )
+    for name, value in (("n", n), ("pairs", pairs), ("eta", ch.eta)):
+        object.__setattr__(lifted, name, value)
+    return lifted
 
 
 def _matrix_to_wire(M: np.ndarray) -> list:

@@ -28,8 +28,8 @@ from .compiler import (
 from .encoding import encode_state_optimal, s_from_amplitudes
 from .errors import DimensionError, ParseError, SearchFailure
 from .lindblad import coherence_steadiness, ite_block_residual, parse_hamiltonian
-from .measure import MeasurementRecord, amplitude_via_pauli
-from .paulis import X, kron_all, HADAMARD
+from .measure import MeasurementRecord, amplitude_via_pauli, assistant_traces
+from .paulis import HADAMARD, X, kron_all, parse_bits
 from .search import SearchOracle, end_to_end_search, run_protocol, sample_x_basis
 from .suites import split_seeds
 
@@ -58,14 +58,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _bits_arg(text: str, n: int | None = None) -> str:
-    if not text or any(ch not in "01" for ch in text):
-        raise ValueError(f"expected a 0/1 string, got {text!r}")
-    if n is not None and len(text) != n:
-        raise ValueError(f"expected {n} bits, got {len(text)}")
-    return text
-
-
 def cmd_verify_gates(args) -> int:
     suite = suites.gate_library_suite(tol=args.tolerance)
     report = {
@@ -87,19 +79,18 @@ def cmd_amplitude(args) -> int:
         raise DimensionError(
             f"amplitude is capped at {MAX_AMPLITUDE_QUBITS} qubits, circuit has {n}"
         )
-    alpha = _bits_arg(args.alpha, n) if args.alpha else "0" * n
+    alpha = args.alpha or "0" * n
+    parse_bits(alpha, n)
     prog = compile_circuit(circ)
     plus = np.full(2**n, 2.0 ** (-n / 2))
     out = run_program(prog, encode_state_optimal(plus))
     amp = amplitude_via_pauli(out, alpha)
+    trace_x, trace_y = assistant_traces(out, alpha)
 
     psi = oracle.simulate(circ)
     want = (kron_all([HADAMARD] * n) @ psi)[int(alpha, 2)]
     residual = abs(amp - want)
 
-    scale = 2.0 ** (n / 2 + 1) * out.gamma
-    trace_x = amp.real * scale
-    trace_y = -amp.imag * scale
     records = [
         MeasurementRecord(f"X(x)Q_{alpha}", complex(trace_x)).to_json_dict(),
         MeasurementRecord(f"Y(x)Q_{alpha}", complex(trace_y)).to_json_dict(),
@@ -226,7 +217,8 @@ def cmd_search(args) -> int:
         }
         _emit(report, args.format, csv_rows=suite["per_n"])
         return 0 if suite["pass"] else 1
-    target = _bits_arg(args.target, args.n)
+    target = args.target
+    parse_bits(target, args.n)
     run_seed, calib_seed = split_seeds(args.seed, 2)
     try:
         found, stats = end_to_end_search(args.n, target, seed=run_seed)

@@ -68,11 +68,12 @@ class CompiledProgram:
 
 def compile_circuit(circuit: Circuit) -> CompiledProgram:
     """Map every gate to its embedded library channel and track the scale."""
+    bases = {name: gate_channel(_GATE_TO_CHANNEL[name]) for name in {g for g, _ in circuit.gates}}
     channels = []
     eta_product = 1.0
     k = 0
     for name, qubits in circuit.gates:
-        base = gate_channel(_GATE_TO_CHANNEL[name])
+        base = bases[name]
         channels.append(embed_channel(base, list(qubits), circuit.n))
         eta_product *= base.eta
         if name == "H":

@@ -19,6 +19,9 @@ from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix
 from .errors import DimensionError, IntegratorError, ParseError, read_qubit_text
 from .paulis import PauliString, X, bell_frame, num_qubits, pauli_matrix
 
+# Classical RK4 is stable on the negative real axis down to about -2.785.
+RK4_STABILITY_LIMIT = 2.785
+
 # Per-letter factors (k, l, l_sign) with U_B (k (x) conj(sign*l)) U_B^dag = I (x) letter.
 _JUMP_LETTER = {
     "I": ("I", "I", 1),
@@ -183,6 +186,11 @@ def evolve(
     trajectory ends exactly at t_max.  Snapshots are recorded every
     record_every steps (plus start and end).  Trace drift beyond 1e-6
     aborts with IntegratorError.
+
+    Every jump is a Hermitian unitary, so the dissipator's spectrum lies in
+    [-2 sum lambda, 0]; a step with 2 dt sum lambda beyond RK4's real-axis
+    stability limit is rejected before it is taken.  The trace guard cannot
+    catch that case: RK4 preserves the trace while the entries blow up.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -193,6 +201,12 @@ def evolve(
     steps = int(round(t_max / dt))
     if abs(t_max / dt - steps) > 1e-9 * (t_max / dt):
         raise ValueError(f"t_max={t_max} is not a whole number of steps of dt={dt}")
+    rate_sum = sum(lam for lam, _, _ in jumps.jumps)
+    if 2.0 * dt * rate_sum > RK4_STABILITY_LIMIT:
+        raise ValueError(
+            f"dt={dt} is unstable for rate sum {rate_sum}: RK4 needs"
+            f" 2 * dt * rate sum <= {RK4_STABILITY_LIMIT}"
+        )
     d = 2**jumps.n
     mats = [(lam, p1.matrix(), p2.matrix()) for lam, p1, p2 in jumps.jumps]
     rho = state0.rho.astype(complex).copy()

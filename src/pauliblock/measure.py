@@ -17,7 +17,7 @@ import numpy as np
 from .channels import apply_channel, pauli_channel
 from .encoding import NdmeState
 from .errors import DimensionError, EncodingError
-from .paulis import PauliString, X, Y, embed_operator, num_qubits, pauli_matrix
+from .paulis import PauliString, X, Y, embed_operator, num_qubits, parse_bits, pauli_matrix
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,6 @@ class MeasurementRecord:
         }
 
 
-def _bits(alpha, n: int) -> tuple:
-    if isinstance(alpha, str):
-        alpha = [int(ch) for ch in alpha]
-    bits = tuple(int(b) for b in alpha)
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"expected {n} bits, got {alpha!r}")
-    return bits
-
-
 def pauli_expectation(rho: np.ndarray, p: PauliString) -> float:
     """Exact Tr(P rho) for a Hermitian-phase Pauli string."""
     rho = np.asarray(rho, dtype=complex)
@@ -61,6 +52,16 @@ def pauli_expectation(rho: np.ndarray, p: PauliString) -> float:
     return float(val.real)
 
 
+def assistant_traces(state: NdmeState, alpha) -> tuple:
+    """The measured traces (Tr((X (x) Q_alpha) rho), Tr((Y (x) Q_alpha) rho)), as floats."""
+    q = PauliString.from_bits(parse_bits(alpha, state.n)).matrix()
+    tr_x = np.trace(np.kron(X, q) @ state.rho)
+    tr_y = np.trace(np.kron(Y, q) @ state.rho)
+    if max(abs(tr_x.imag), abs(tr_y.imag)) > 1e-10:
+        raise ValueError("Pauli traces of a Hermitian state should be real")
+    return float(tr_x.real), float(tr_y.real)
+
+
 def amplitude_via_pauli(state: NdmeState, alpha) -> complex:
     """Amplitude c_alpha recovered from the X and Y assistant-qubit traces.
 
@@ -71,15 +72,9 @@ def amplitude_via_pauli(state: NdmeState, alpha) -> complex:
     """
     if state.gamma < 1e-14:
         raise EncodingError("encoding factor too small to divide out")
-    n = state.n
-    bits = _bits(alpha, n)
-    q = PauliString.from_bits(bits).matrix()
-    tr_x = np.trace(np.kron(X, q) @ state.rho)
-    tr_y = np.trace(np.kron(Y, q) @ state.rho)
-    if max(abs(tr_x.imag), abs(tr_y.imag)) > 1e-10:
-        raise ValueError("Pauli traces of a Hermitian state should be real")
-    scale = 2.0 ** (n / 2 + 1) * state.gamma
-    return complex(tr_x.real - 1j * tr_y.real) / scale
+    tr_x, tr_y = assistant_traces(state, alpha)
+    scale = 2.0 ** (state.n / 2 + 1) * state.gamma
+    return complex(tr_x - 1j * tr_y) / scale
 
 
 def _swap_matrix(n: int) -> np.ndarray:
@@ -131,7 +126,7 @@ def hle_identity_check(state: NdmeState, alpha) -> float:
     """
     rho = state.rho
     n = state.n
-    bits = _bits(alpha, n)
+    bits = parse_bits(alpha, n)
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     if w.min() < -1e-8:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")

@@ -52,6 +52,24 @@ def num_qubits(dim: int) -> int:
     return dim.bit_length() - 1
 
 
+def parse_bits(bits, n: int | None = None) -> tuple:
+    """A bit string as a tuple of ints: '0'/'1' text or a sequence of 0/1 values.
+
+    Raises ValueError unless it is nonempty, holds only 0 and 1 and, when n
+    is given, has n bits.
+    """
+    if isinstance(bits, str):
+        values = tuple(int(ch) for ch in bits if ch in "01")
+        ok = len(values) == len(bits)
+    else:
+        values = tuple(int(b) for b in bits)
+        ok = all(b in (0, 1) for b in values)
+    if not ok or not values or (n is not None and len(values) != n):
+        want = "a bit string" if n is None else f"a string of {n} bits"
+        raise ValueError(f"expected {want}, got {bits!r}")
+    return values
+
+
 def kron_all(mats) -> np.ndarray:
     return reduce(np.kron, mats)
 

@@ -5,7 +5,10 @@ the {I, X} strings with a sign flip on the cross blocks, and C_x collapses
 diagonal blocks to the maximally mixed state while projecting the
 off-diagonal blocks onto the single string matching the planted target.
 Net effect on the X (x) Q_alpha operators: the target string is kept at
-scale 1/3, every other string is negated at scale 1/3.
+scale 1/3, every other string is negated at scale 1/3.  Every output block
+is XOR-class constant, B_ab[j, k] = c_ab[j ^ k], so states are held as the
+block class sums s[a, b, delta] = sum_j B_ab[j, j ^ delta]; the oracle reads
+nothing else of its input.
 
 The protocol mixes one oracle application into a fresh uniform state,
 samples the result in the X basis, discards the two outcomes attributable
@@ -19,21 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import hadamard_transform
+from .encoding import block_coefficients, hadamard_transform
 from .errors import DimensionError, SearchFailure
-from .paulis import is_power_of_two
+from .paulis import parse_bits
 
 ORACLE_ETA = 1.0 / 3.0
 MAX_SEARCH_QUBITS = 10
-
-
-def _as_bits(x, n: int) -> np.ndarray:
-    if isinstance(x, str):
-        x = [int(ch) for ch in x]
-    bits = np.array([int(b) for b in x], dtype=np.uint8)
-    if bits.size != n or np.any(bits > 1):
-        raise ValueError(f"expected {n} bits, got {x!r}")
-    return bits
 
 
 def bits_to_index(bits) -> int:
@@ -52,41 +46,40 @@ class SearchOracle:
     def __post_init__(self):
         if self.n > MAX_SEARCH_QUBITS:
             raise DimensionError(f"search capped at {MAX_SEARCH_QUBITS} qubits")
-        object.__setattr__(self, "target", tuple(_as_bits(self.target, self.n)))
+        object.__setattr__(self, "target", parse_bits(self.target, self.n))
 
     @property
     def target_index(self) -> int:
         return bits_to_index(self.target)
 
 
-def _sector_twirl(B: np.ndarray) -> np.ndarray:
-    """Average of Q_i B Q_i over all {I, X} strings (XOR-class averaging)."""
-    dim = B.shape[0]
-    idx = np.arange(dim)
-    grid = idx[:, None] ^ idx[None, :]
-    class_avg = B[idx[None, :], grid].mean(axis=1)  # one value per XOR class
-    return class_avg[grid]
-
-
-def _apply_channel_i(rho: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty_like(rho)
-    out[:d, :d] = _sector_twirl(rho[:d, :d])
-    out[:d, d:] = -_sector_twirl(rho[:d, d:])
-    out[d:, :d] = -_sector_twirl(rho[d:, :d])
-    out[d:, d:] = _sector_twirl(rho[d:, d:])
-    return out
-
-
-def _apply_channel_x(rho: np.ndarray, d: int, xi: int) -> np.ndarray:
+def _class_sums(rho: np.ndarray, d: int) -> np.ndarray:
+    """Block class sums s[a, b, delta] of a dense (2d, 2d) matrix."""
     idx = np.arange(d)
-    perm = idx ^ xi
-    qx = np.eye(d, dtype=complex)[perm]
-    out = np.zeros_like(rho)
-    out[:d, :d] = np.trace(rho[:d, :d]) / d * np.eye(d)
-    out[d:, d:] = np.trace(rho[d:, d:]) / d * np.eye(d)
-    out[:d, d:] = rho[:d, d:][idx, perm].sum() / d * qx
-    out[d:, :d] = rho[d:, :d][perm, idx].sum() / d * qx
-    return out
+    grid = idx[:, None] ^ idx[None, :]
+    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
+    return np.array([[B[idx[None, :], grid].sum(axis=1) for B in row] for row in blocks])
+
+
+def _expand(s: np.ndarray, d: int) -> np.ndarray:
+    """The dense matrix with blocks B_ab[j, k] = s[a, b, j ^ k] / d."""
+    idx = np.arange(d)
+    grid = idx[:, None] ^ idx[None, :]
+    return np.block([[c[grid] for c in row] for row in s / d])
+
+
+def _oracle_sums(s: np.ndarray, xi: int) -> np.ndarray:
+    """The oracle (2/3) C_x + (1/3) C_I on block class sums.
+
+    C_I keeps every sum and negates those of the cross blocks; C_x keeps
+    only s[0] on the diagonal blocks and only s[xi] on the cross blocks.
+    """
+    kept = np.zeros_like(s)
+    kept[[0, 1], [0, 1], 0] = s[[0, 1], [0, 1], 0]
+    kept[[0, 1], [1, 0], xi] = s[[0, 1], [1, 0], xi]
+    twirled = s.copy()
+    twirled[[0, 1], [1, 0]] *= -1.0
+    return (2.0 / 3.0) * kept + (1.0 / 3.0) * twirled
 
 
 def oracle_apply(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
@@ -95,9 +88,7 @@ def oracle_apply(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
     d = 2**oracle.n
     if rho.shape != (2 * d, 2 * d):
         raise DimensionError(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
-    return (2.0 / 3.0) * _apply_channel_x(rho, d, oracle.target_index) + (
-        1.0 / 3.0
-    ) * _apply_channel_i(rho, d)
+    return _expand(_oracle_sums(_class_sums(rho, d), oracle.target_index), d)
 
 
 def oracle_apply_kraus(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
@@ -131,23 +122,26 @@ def oracle_apply_kraus(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
     return (2.0 / 3.0) * out_x + (1.0 / 3.0) * out_i
 
 
-def run_protocol(oracle: SearchOracle) -> np.ndarray:
-    """Output density matrix after one controlled oracle query.
+def _protocol_sums(oracle: SearchOracle) -> np.ndarray:
+    """Block class sums of the protocol output after one controlled query.
 
     The controlled channel on the block-diagonal input reduces to the
     classical mixture eta/(1+eta) * rho_sys + 1/(1+eta) * C[rho_sys] with
-    rho_sys the uniform (n+1)-qubit state.
+    rho_sys the uniform (n+1)-qubit state, whose class sums are all 1/2.
     """
-    n = oracle.n
-    dim = 2 ** (n + 1)
-    rho_sys = np.full((dim, dim), 1.0 / dim, dtype=complex)
+    s = np.full((2, 2, 2**oracle.n), 0.5, dtype=complex)
     w = oracle.eta / (1.0 + oracle.eta)
-    return w * rho_sys + (1.0 - w) * oracle_apply(oracle, rho_sys)
+    return w * s + (1.0 - w) * _oracle_sums(s, oracle.target_index)
+
+
+def run_protocol(oracle: SearchOracle) -> np.ndarray:
+    """Output density matrix after one controlled oracle query."""
+    return _expand(_protocol_sums(oracle), 2**oracle.n)
 
 
 def rho_out_closed_form(n: int, x) -> np.ndarray:
     """The protocol output assembled directly from its block structure."""
-    bits = _as_bits(x, n)
+    bits = parse_bits(x, n)
     d = 2**n
     plus = np.full((d, d), 1.0 / d, dtype=complex)
     diag = 0.5 * plus + 2.0 ** -(n + 1) * np.eye(d)
@@ -157,14 +151,19 @@ def rho_out_closed_form(n: int, x) -> np.ndarray:
     return 0.5 * np.block([[diag, off], [off, diag]])
 
 
+def _x_distribution(class_sums: np.ndarray) -> np.ndarray:
+    """X-basis outcome distribution from the XOR-class sums S of a whole state.
+
+    The diagonal of H rho H depends on rho only through S_delta =
+    sum_J rho[J, J ^ delta]: p_beta = (1/D) sum_delta (-1)^(beta.delta) S_delta.
+    """
+    probs = np.clip(hadamard_transform(class_sums).real, 0.0, None)
+    return probs / probs.sum()
+
+
 def x_basis_probabilities(rho_out: np.ndarray) -> np.ndarray:
     """Outcome distribution of measuring every qubit in the X basis."""
-    rho_out = np.asarray(rho_out, dtype=complex)
-    if not is_power_of_two(rho_out.shape[0]):
-        raise DimensionError("density matrix dimension must be a power of two")
-    conj = hadamard_transform(hadamard_transform(rho_out, axis=0), axis=1)
-    probs = np.clip(np.diag(conj).real, 0.0, None)
-    return probs / probs.sum()
+    return _x_distribution(block_coefficients(rho_out))
 
 
 @dataclass(frozen=True)
@@ -299,14 +298,15 @@ class _SampleStream:
 def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
     """Full pipeline: protocol state, sampling, post-selection, GF(2) solve.
 
+    The protocol state stays as its block class sums and is never expanded,
+    so building the sampling distribution costs O(2^n) time and memory.
     Gathers fresh batches of n accepted outcomes until one has full rank,
     then solves for the target.  Returns (found_bits, stats) where stats
     reports oracle_queries (every drawn sample costs one query),
     acceptance_rate, and independence_batches (batches consumed).
     """
-    oracle = SearchOracle(n=n, target=_as_bits(x, n))
-    rho_out = run_protocol(oracle)
-    probs = x_basis_probabilities(rho_out)
+    s = _protocol_sums(SearchOracle(n=n, target=x))
+    probs = _x_distribution(np.concatenate([s[0, 0] + s[1, 1], s[0, 1] + s[1, 0]]))
     width = n + 1
     rng = np.random.default_rng(seed)
     stream = _SampleStream(probs, rng, chunk=4 * n)

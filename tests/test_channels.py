@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pauliblock.channels import (
+    GATE_IDS,
     KrausPairChannel,
     apply_channel,
     cbe_operator,
@@ -239,3 +240,29 @@ def test_wire_format_shape():
     assert all(set(p) == {"k", "l"} for p in data["pairs"])
     # row-major [re, im] entries
     assert data["pairs"][0]["k"] == [[0.7071067811865475, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067811865475, 0.0]]
+
+
+@pytest.mark.parametrize("gate", GATE_IDS)
+def test_embedded_gate_keeps_base_residual_without_recheck(gate, monkeypatch):
+    import pauliblock.channels as channels
+
+    rng = np.random.default_rng(len(gate))
+    base = gate_channel(gate)
+    want = check_cptp(base)
+    lifts = []
+    monkeypatch.setattr(channels, "check_cptp", lambda *a, **k: pytest.fail("re-checked"))
+    for _ in range(4):
+        n = int(rng.integers(base.n, 7))
+        qubits = [int(q) for q in rng.permutation(n)[: base.n]]
+        lifts.append(embed_channel(base, qubits, n))
+    monkeypatch.undo()
+    for ch in lifts:
+        assert abs(check_cptp(ch) - want) < 1e-15
+
+
+def test_rescaled_embedded_pair_is_rejected_when_built():
+    ch = embed_channel(gate_channel("HTH"), [1], 3)
+    pairs = list(ch.pairs)
+    pairs[0] = (1.01 * pairs[0][0], pairs[0][1])
+    with pytest.raises(ChannelError):
+        KrausPairChannel(n=ch.n, pairs=pairs, eta=ch.eta)

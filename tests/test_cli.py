@@ -1,8 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from pauliblock import cli, suites
+from pauliblock.compiler import compile_circuit, parse_circuit, run_program
+from pauliblock.encoding import encode_state_optimal
+from pauliblock.measure import amplitude_via_pauli
+from pauliblock.paulis import PauliString, X, Y
+from pauliblock.search import SearchOracle
 
 BELL = "qubits 2\n1.0 -ZZ\n1.0 -XX\n"
 FRUSTRATED = "qubits 1\n1.0 +X\n1.0 +Z\n"
@@ -237,6 +243,17 @@ def test_lindblad_partial_step_is_input_error(tmp_path, capsys):
     assert "whole number of steps" in err
 
 
+def test_lindblad_unstable_dt_is_input_error(tmp_path, capsys):
+    path = tmp_path / "z.txt"
+    path.write_text("qubits 1\n1.0 -Z\n")
+    code, out, err = run_cli(
+        ["lindblad", "--hamiltonian", str(path), "--t-max", "20", "--dt", "2"], capsys
+    )
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "unstable" in err
+
+
 def test_lindblad_dt_audit_divides_t_max(tmp_path, capsys):
     # 2.5 is not a multiple of 0.08; the audit's coarse step divides t_max
     path = tmp_path / "frus.txt"
@@ -255,3 +272,38 @@ def test_amplitude_oversize_circuit_is_input_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert str(cli.MAX_AMPLITUDE_QUBITS) in err
+
+
+def test_amplitude_reports_measured_traces(tmp_path, capsys):
+    path = tmp_path / "circ.txt"
+    path.write_text(CIRCUIT)
+    code, out, _ = run_cli(["amplitude", "--circuit", str(path), "--alpha", "101"], capsys)
+    report = json.loads(out)
+    assert code == 0
+    rho = run_program(
+        compile_circuit(parse_circuit(CIRCUIT)), encode_state_optimal(np.full(8, 8**-0.5))
+    ).rho
+    q = PauliString.from_bits([1, 0, 1]).matrix()
+    tr_x = np.trace(np.kron(X, q) @ rho).real
+    tr_y = np.trace(np.kron(Y, q) @ rho).real
+    assert abs(tr_y) > 1e-3  # the T gate makes the imaginary part visible
+    assert report["raw_signal_re"] == pytest.approx(tr_x, abs=1e-15)
+    assert report["raw_signal_im"] == pytest.approx(tr_y, abs=1e-15)
+    records = {r["observable"]: r["value_re"] for r in report["records"]}
+    assert records == {"X(x)Q_101": report["raw_signal_re"], "Y(x)Q_101": report["raw_signal_im"]}
+
+
+@pytest.mark.parametrize("bad", ["", "012", "1 0", "10"])
+def test_bit_strings_share_one_validator(tmp_path, capsys, bad):
+    messages = set()
+    for call in (
+        lambda: amplitude_via_pauli(encode_state_optimal(np.full(8, 8**-0.5)), bad),
+        lambda: SearchOracle(n=3, target=bad),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    code, out, err = run_cli(["search", "--n", "3", "--target", bad], capsys)
+    assert code == 2 and out == ""
+    messages.add(err.strip().removeprefix("error: "))
+    assert messages == {f"expected a string of 3 bits, got {bad!r}"}

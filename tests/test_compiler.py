@@ -163,3 +163,15 @@ def test_program_wire_roundtrip():
     a = run_program(prog, st)
     b = run_program(back, st)
     assert np.abs(a.rho - b.rho).max() < 1e-15
+
+
+def test_compile_builds_each_library_channel_once(monkeypatch):
+    import pauliblock.compiler as compiler
+
+    built = []
+    original = compiler.gate_channel
+    monkeypatch.setattr(compiler, "gate_channel", lambda g: built.append(g) or original(g))
+    circ = parse_circuit("qubits 3\nH 0\nH 1\nT 2\nT 0\nCNOT 0 1\nCNOT 1 2\nS 0\nH 2\n")
+    prog = compile_circuit(circ)
+    assert sorted(built) == ["H", "HH_CNOT_HH", "HSH", "HTH"]
+    assert len(prog.channels) == len(circ.gates)

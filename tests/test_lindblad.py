@@ -160,6 +160,17 @@ def test_evolve_argument_validation():
         evolve(st, jumps, t_max=0.001, dt=0.01)
 
 
+def test_evolve_rejects_unstable_step():
+    # 2 dt sum(lambda) = 4 lies beyond RK4's real-axis limit; the trace stays
+    # 1 while the entries grow, so only the up-front check can refuse it
+    st = encode_state_optimal([1, 0])
+    jumps = build_jumps(parse_hamiltonian("qubits 1\n1.0 -Z\n"))
+    with pytest.raises(ValueError, match="unstable"):
+        evolve(st, jumps, t_max=20.0, dt=2.0)
+    traj = evolve(st, jumps, t_max=2.7, dt=1.35)  # 2 dt sum(lambda) = 2.7
+    assert np.abs(traj.states[-1].rho).max() <= 1.0
+
+
 def test_ite_reference_size_guard():
     h = parse_hamiltonian("qubits 7\n1.0 -ZIIIIII\n")
     with pytest.raises(Exception):

@@ -16,6 +16,7 @@ from pauliblock.paulis import (
     kron_all,
     matrixize,
     pauli_decompose,
+    parse_bits,
     pauli_matrix,
     vectorize,
 )
@@ -202,3 +203,12 @@ def test_embed_operator_basics():
         embed_operator(X, [3], 3)
     with pytest.raises(DimensionError):
         embed_operator(np.kron(X, X), [0, 0], 3)
+
+
+def test_parse_bits_accepts_text_and_sequences():
+    for bits in ("101", [1, 0, 1], (True, False, True), np.array([1, 0, 1], dtype=np.uint8)):
+        assert parse_bits(bits, 3) == (1, 0, 1)
+    assert parse_bits("0110") == (0, 1, 1, 0)
+    for bad, n in (("", None), ("0b1", None), ("101", 2), ([0, 2], 2), ("1١", 2)):
+        with pytest.raises(ValueError, match="expected"):
+            parse_bits(bad, n)

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pauliblock.errors import SearchFailure
 from pauliblock.paulis import HADAMARD, PauliString, X, kron_all
@@ -201,7 +206,96 @@ def test_oracle_size_guard():
 
 
 def test_search_at_desk_scale_cap():
-    # the full density-matrix pipeline still runs at the 10-qubit cap
+    # the search still runs at the 10-qubit cap of SearchOracle
     found, stats = end_to_end_search(10, "1011001110", seed=123)
     assert np.array_equal(found, [1, 0, 1, 1, 0, 0, 1, 1, 1, 0])
     assert stats["oracle_queries"] >= 20
+
+
+# The per-block twirl formulas the class-sum core replaced, kept as a
+# reference: C_I averages each block over its XOR classes (cross blocks
+# negated); C_x keeps the diagonal blocks' traces and the target class of
+# the cross blocks.
+def _twirl_reference(B):
+    dim = B.shape[0]
+    idx = np.arange(dim)
+    grid = idx[:, None] ^ idx[None, :]
+    return B[idx[None, :], grid].mean(axis=1)[grid]
+
+
+def _oracle_twirl_reference(orc, rho):
+    d = 2**orc.n
+    idx = np.arange(d)
+    perm = idx ^ orc.target_index
+    qx = np.eye(d, dtype=complex)[perm]
+    out_i = np.empty_like(rho)
+    out_i[:d, :d] = _twirl_reference(rho[:d, :d])
+    out_i[:d, d:] = -_twirl_reference(rho[:d, d:])
+    out_i[d:, :d] = -_twirl_reference(rho[d:, :d])
+    out_i[d:, d:] = _twirl_reference(rho[d:, d:])
+    out_x = np.zeros_like(rho)
+    out_x[:d, :d] = np.trace(rho[:d, :d]) / d * np.eye(d)
+    out_x[d:, d:] = np.trace(rho[d:, d:]) / d * np.eye(d)
+    out_x[:d, d:] = rho[:d, d:][idx, perm].sum() / d * qx
+    out_x[d:, :d] = rho[d:, :d][perm, idx].sum() / d * qx
+    return (2.0 / 3.0) * out_x + (1.0 / 3.0) * out_i
+
+
+@st.composite
+def oracle_inputs(draw):
+    n = draw(st.integers(1, 3))
+    target = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    parts = arrays(np.float64, (2, 2 ** (n + 1), 2 ** (n + 1)), elements=st.floats(-1, 1))
+    re, im = draw(parts)
+    return SearchOracle(n=n, target=target), re + 1j * im
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_inputs())
+def test_class_sum_oracle_matches_kraus_and_twirl(case):
+    orc, rho = case
+    got = oracle_apply(orc, rho)
+    assert np.abs(got - oracle_apply_kraus(orc, rho)).max() < 1e-12
+    assert np.abs(got - _oracle_twirl_reference(orc, rho)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_x_basis_probabilities_match_two_sided_transform(n):
+    rng = np.random.default_rng(40 + n)
+    dim = 2 ** (n + 1)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = kron_all([HADAMARD] * (n + 1))
+    for rho in (m @ m.conj().T / np.trace(m @ m.conj().T).real,
+                run_protocol(SearchOracle(n=n, target=rng.integers(0, 2, n)))):
+        want = np.clip(np.diag(h @ rho @ h).real, 0.0, None)
+        assert np.abs(x_basis_probabilities(rho) - want / want.sum()).max() < 1e-15
+
+
+# (n, seed, target, oracle_queries, independence_batches) as returned by the
+# dense protocol pipeline that the class-sum search replaced.
+SEARCH_PINS = [
+    (3, 0, "100", 37, 4), (3, 1, "101", 11, 2), (3, 2, "101", 21, 2),
+    (4, 3, "0100", 11, 1), (4, 4, "0010", 7, 1), (4, 5, "0000", 18, 2),
+    (5, 6, "01100", 37, 4), (5, 7, "01101", 42, 4), (5, 8, "01001", 114, 11),
+    (6, 9, "101100", 51, 5), (6, 10, "010101", 22, 2), (6, 11, "111000", 29, 2),
+    (7, 12, "1011101", 16, 1), (7, 13, "0010101", 42, 3), (7, 14, "1110010", 19, 1),
+    (8, 15, "01001101", 41, 3), (8, 16, "10011000", 19, 1), (8, 17, "00001111", 54, 3),
+    (9, 18, "100000010", 23, 1), (9, 19, "000101000", 50, 3),
+]
+
+
+@pytest.mark.parametrize("n,seed,target,queries,batches", SEARCH_PINS)
+def test_search_pinned_to_dense_pipeline(n, seed, target, queries, batches):
+    found, stats = end_to_end_search(n, target, seed=seed)
+    assert "".join(str(int(b)) for b in found) == target
+    assert (stats["oracle_queries"], stats["independence_batches"]) == (queries, batches)
+
+
+def test_search_memory_is_linear_in_dimension():
+    tracemalloc.start()
+    try:
+        end_to_end_search(10, "1011001110", seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
