@@ -1,7 +1,8 @@
 """Block-diagonal Kraus-pair channels and the elementary gate library.
 
-A channel here is a list of operator pairs (K_i, L_i); the full Kraus
-operators are diag(K_i, L_i) on the (1+n)-qubit space, so the assistant
+A channel here is a list of operator pairs (K_i, L_i) on some of the n
+encoding qubits; the full Kraus operators are diag(K_i, L_i) on the
+assistant qubit and those qubits (identity elsewhere), so the assistant
 qubit is never mixed between blocks.  The channel's action on the
 upper-right block is B -> sum_i K_i B L_i^dag, and the operator
 sum_i K_i (x) conj(L_i) block-encodes the implemented map on vectorized
@@ -10,6 +11,7 @@ matrices at scale eta.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +72,49 @@ _PAULI_PAIRS_PROJECTOR = {
 class KrausPairChannel:
     """A tuple of (K_i, L_i) pairs with an optional block-encoding scale eta.
 
-    Building one runs check_cptp, so every channel that exists is trace
-    preserving and applying it needs no further check.
+    The pairs act on the encoding qubits named by `qubits` (all n, in order,
+    when omitted), so each K_i and L_i is 2^len(qubits) square.  Building
+    one checks the qubits and pair shapes and runs check_cptp at that local
+    dimension, so every channel that exists is trace preserving and
+    applying it needs no further check.
     """
 
     n: int
     pairs: tuple
     eta: float | None = None
+    qubits: tuple | None = None
 
     def __post_init__(self):
+        if self.qubits is None:
+            qubits = tuple(range(self.n))
+        else:
+            qubits = _checked_qubits(self.qubits, self.n)
+        object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "pairs", tuple(self.pairs))
+        dim = 2 ** len(qubits)
+        for K, L in self.pairs:
+            if np.shape(K) != (dim, dim) or np.shape(L) != (dim, dim):
+                raise DimensionError(
+                    f"pairs on {len(qubits)} qubit(s) must be {dim}x{dim},"
+                    f" got {np.shape(K)} and {np.shape(L)}"
+                )
         check_cptp(self)
+
+
+def _checked_qubits(qubits, n: int) -> tuple:
+    """Qubit indices as a tuple; DimensionError unless distinct integers in 0..n-1."""
+    try:
+        qubits = tuple(operator.index(q) for q in qubits)
+    except TypeError:
+        raise DimensionError(f"qubit indices must be integers, got {qubits!r}") from None
+    if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
+        raise DimensionError(f"need distinct qubit indices in 0..{n - 1}, got {list(qubits)}")
+    return qubits
 
 
 def check_cptp(ch: KrausPairChannel, atol: float = 1e-12) -> float:
     """Max deviation of sum K^dag K and sum L^dag L from the identity."""
-    dim = 2**ch.n
+    dim = 2 ** len(ch.qubits)
     ksum = np.zeros((dim, dim), dtype=complex)
     lsum = np.zeros((dim, dim), dtype=complex)
     for K, L in ch.pairs:
@@ -101,40 +130,59 @@ def check_cptp(ch: KrausPairChannel, atol: float = 1e-12) -> float:
 def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
     """Apply the channel to an encoded state, recomputing the encoding factor.
 
+    rho is viewed as a tensor with one axis per row and per column qubit
+    (assistant first) and transposed once, so that the assistant and the
+    channel's qubits lead on the row side and trail on the column side; a
+    full-width channel needs no transpose.  Each pair then costs two small
+    products into reused buffers: K and L on the top and bottom row halves,
+    then conj(K) and conj(L) on the left and right column halves.
+
     The output gamma is the l2 norm of the {I, X}-sector coefficients of the
     transformed block, which equals eta * gamma_in * ||V psi|| whenever the
     channel block-encodes an operator V.
     """
     if state.n != ch.n:
         raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
-    d = 2**ch.n
-    rho = state.rho
-    r00, r01 = rho[:d, :d], rho[:d, d:]
-    r10, r11 = rho[d:, :d], rho[d:, d:]
-    o00 = np.zeros_like(r00)
-    o01 = np.zeros_like(r01)
-    o10 = np.zeros_like(r10)
-    o11 = np.zeros_like(r11)
-    for K, L in ch.pairs:
-        Kd, Ld = K.conj().T, L.conj().T
-        o00 += K @ r00 @ Kd
-        o01 += K @ r01 @ Ld
-        o10 += L @ r10 @ Kd
-        o11 += L @ r11 @ Ld
-    out = np.block([[o00, o01], [o10, o11]])
-    gamma = float(np.linalg.norm(block_coefficients(o01)))
+    n = ch.n
+    d = 2**n
+    local = 2 ** len(ch.qubits)
+    # index 0 is the assistant row, 1 + q qubit q's row; columns follow at n + 1
+    lead = [0] + [1 + q for q in ch.qubits]
+    rest = [1 + q for q in range(n) if q not in ch.qubits]
+    lead_cols = [n + 1 + a for a in lead]
+    rest_cols = [n + 1 + a for a in rest]
+    order = lead + rest + rest_cols + lead_cols
+    tensor = np.ascontiguousarray(state.rho.reshape([2] * (2 * n + 2)).transpose(order))
+    rows = tensor.reshape(2, local, -1)
+    half = np.empty(rows.shape, dtype=complex)
+    cols = half.reshape(-1, 2, local).transpose(1, 2, 0)
+    acc = np.zeros((2, local, rows.size // (2 * local)), dtype=complex)
+    term = np.empty_like(acc)
+    blocks = np.array(ch.pairs)  # (pair, assistant, local, local)
+    for pair, conj in zip(blocks, blocks.conj()):
+        np.matmul(pair, rows, out=half)
+        np.matmul(conj, cols, out=term)
+        acc += term
+    # acc holds the column-side lead first, then the row side and the rest
+    acc_order = lead_cols + lead + rest + rest_cols
+    out = acc.reshape([2] * (2 * n + 2)).transpose(np.argsort(acc_order)).reshape(2 * d, 2 * d)
+    gamma = float(np.linalg.norm(block_coefficients(out[:d, d:])))
     return NdmeState(n=state.n, rho=out, gamma=gamma)
 
 
 def cbe_operator(ch: KrausPairChannel) -> np.ndarray:
-    """The block-encoding operator sum_i K_i (x) conj(L_i)."""
+    """The block-encoding operator sum_i K_i (x) conj(L_i) on all 2n qubits.
+
+    The local sum acts on the channel's row qubits q and column qubits
+    n + q and is embedded there.
+    """
     if ch.n > 4:
         raise DimensionError("dense block-encoding operators capped at 4 qubits")
-    dim = 4**ch.n
+    dim = 4 ** len(ch.qubits)
     out = np.zeros((dim, dim), dtype=complex)
     for K, L in ch.pairs:
         out += np.kron(K, L.conj())
-    return out
+    return embed_operator(out, list(ch.qubits) + [ch.n + q for q in ch.qubits], 2 * ch.n)
 
 
 def po_target(V: np.ndarray, f0_variant: str, m: int) -> np.ndarray:
@@ -238,30 +286,30 @@ def gate_target_unitary(gate: str) -> np.ndarray:
 
 def compose(first: KrausPairChannel, then: KrausPairChannel) -> KrausPairChannel:
     """Sequential composition; pair products multiply, eta multiplies."""
-    if first.n != then.n:
-        raise DimensionError("cannot compose channels of different sizes")
+    if first.n != then.n or first.qubits != then.qubits:
+        raise DimensionError("cannot compose channels on different qubits")
     pairs = [
         (K2 @ K1, L2 @ L1)
         for K1, L1 in first.pairs
         for K2, L2 in then.pairs
     ]
     eta = None if first.eta is None or then.eta is None else first.eta * then.eta
-    return KrausPairChannel(n=first.n, pairs=pairs, eta=eta)
+    return KrausPairChannel(n=first.n, pairs=pairs, eta=eta, qubits=first.qubits)
 
 
 def embed_channel(ch: KrausPairChannel, qubits, n: int) -> KrausPairChannel:
-    """Lift a channel onto the given qubits of an n-qubit encoding system.
+    """Place a channel on the given qubits of an n-qubit encoding system.
 
-    The lift is not checked again: its Kraus sums are the base channel's
-    sums tensored with the identity, sum (K (x) I)^dag (K (x) I) =
-    (sum K^dag K) (x) I, and the base channel was checked when it was built.
+    Qubit j of ch becomes qubits[j].  The checked pairs are kept as they are
+    and only the qubit labels change, so the lift is not checked again: its
+    Kraus sums on the n qubits are the base sums tensored with the identity.
     """
+    qubits = _checked_qubits(qubits, n)
+    if len(qubits) != ch.n:
+        raise DimensionError(f"need {ch.n} qubit indices, got {list(qubits)}")
     lifted = object.__new__(KrausPairChannel)
-    pairs = tuple(
-        (embed_operator(K, qubits, n), embed_operator(L, qubits, n))
-        for K, L in ch.pairs
-    )
-    for name, value in (("n", n), ("pairs", pairs), ("eta", ch.eta)):
+    placed = tuple(qubits[q] for q in ch.qubits)
+    for name, value in (("n", n), ("pairs", ch.pairs), ("eta", ch.eta), ("qubits", placed)):
         object.__setattr__(lifted, name, value)
     return lifted
 
@@ -278,23 +326,39 @@ def _matrix_from_wire(entries, dim: int) -> np.ndarray:
 
 
 def channel_to_dict(ch: KrausPairChannel) -> dict:
-    """Wire format: row-major [re, im] entry lists plus n and eta."""
-    return {
+    """Wire format: row-major [re, im] entry lists plus n and eta.
+
+    "qubits" is written only when the pairs do not act on all n qubits in
+    order, so full-width channels keep the format they always had.
+    """
+    data = {
         "n": ch.n,
         "eta": None if ch.eta is None else float(ch.eta),
         "pairs": [
             {"k": _matrix_to_wire(K), "l": _matrix_to_wire(L)} for K, L in ch.pairs
         ],
     }
+    if ch.qubits != tuple(range(ch.n)):
+        data["qubits"] = list(ch.qubits)
+    return data
 
 
 def channel_from_dict(data: dict) -> KrausPairChannel:
-    """Inverse of channel_to_dict; a non-trace-preserving channel raises ChannelError."""
+    """Inverse of channel_to_dict; a missing "qubits" means all n qubits.
+
+    Bad qubits or matrix sizes raise DimensionError, a non-trace-preserving
+    channel ChannelError.
+    """
     n = int(data["n"])
-    dim = 2**n
+    qubits = data.get("qubits")
+    if qubits is not None:
+        qubits = _checked_qubits(qubits, n)
+    dim = 2 ** (n if qubits is None else len(qubits))
     pairs = [
         (_matrix_from_wire(p["k"], dim), _matrix_from_wire(p["l"], dim))
         for p in data["pairs"]
     ]
     eta = data.get("eta")
-    return KrausPairChannel(n=n, pairs=pairs, eta=None if eta is None else float(eta))
+    return KrausPairChannel(
+        n=n, pairs=pairs, eta=None if eta is None else float(eta), qubits=qubits
+    )

@@ -28,9 +28,9 @@ from .compiler import (
 from .encoding import encode_state_optimal, s_from_amplitudes
 from .errors import DimensionError, ParseError, SearchFailure
 from .lindblad import coherence_steadiness, ite_block_residual, parse_hamiltonian
-from .measure import MeasurementRecord, amplitude_via_pauli, assistant_traces
+from .measure import MeasurementRecord, amplitude_from_traces, assistant_traces
 from .paulis import HADAMARD, X, kron_all, parse_bits
-from .search import SearchOracle, end_to_end_search, run_protocol, sample_x_basis
+from .search import SearchOracle, end_to_end_search, protocol_x_distribution, sample_outcomes
 from .suites import split_seeds
 
 SCHEMA_VERSION = 1
@@ -84,8 +84,8 @@ def cmd_amplitude(args) -> int:
     prog = compile_circuit(circ)
     plus = np.full(2**n, 2.0 ** (-n / 2))
     out = run_program(prog, encode_state_optimal(plus))
-    amp = amplitude_via_pauli(out, alpha)
     trace_x, trace_y = assistant_traces(out, alpha)
+    amp = amplitude_from_traces(out, (trace_x, trace_y))
 
     psi = oracle.simulate(circ)
     want = (kron_all([HADAMARD] * n) @ psi)[int(alpha, 2)]
@@ -238,8 +238,8 @@ def cmd_search(args) -> int:
     found_str = "".join(str(int(b)) for b in found)
     ok = found_str == target
     # acceptance estimated on a dedicated calibration batch of --shots draws
-    rho_out = run_protocol(SearchOracle(n=args.n, target=target))
-    batch = sample_x_basis(rho_out, shots=args.shots, seed=calib_seed)
+    probs = protocol_x_distribution(SearchOracle(n=args.n, target=target))
+    batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     report = {
         "schema": SCHEMA_VERSION,
         "command": "search",

@@ -38,19 +38,22 @@ def _xor_grid(n: int) -> np.ndarray:
 
 
 def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply the normalized n-fold Hadamard transform along one axis."""
-    out = np.array(arr, dtype=complex)
-    out = np.moveaxis(out, axis, 0)
+    """Apply the normalized n-fold Hadamard transform along one axis.
+
+    Stage h pairs index j with j + h inside every block of 2h, so each stage
+    is one butterfly on a (size / 2h, 2, h, ...) view.
+    """
+    out = np.array(np.moveaxis(arr, axis, 0), dtype=complex, order="C")
     size = out.shape[0]
     if not is_power_of_two(size):
         raise DimensionError(f"axis length {size} is not a power of two")
     h = 1
     while h < size:
-        for start in range(0, size, 2 * h):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h]
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
+        pairs = out.reshape(size // (2 * h), 2, h, *out.shape[1:])
+        a = pairs[:, 0].copy()
+        b = pairs[:, 1]
+        pairs[:, 0] = a + b
+        pairs[:, 1] = a - b
         h *= 2
     out /= np.sqrt(size)
     return np.moveaxis(out, 0, axis)

@@ -17,7 +17,15 @@ import numpy as np
 from .channels import apply_channel, pauli_channel
 from .encoding import NdmeState
 from .errors import DimensionError, EncodingError
-from .paulis import PauliString, X, Y, embed_operator, num_qubits, parse_bits, pauli_matrix
+from .paulis import (
+    PauliString,
+    X,
+    bits_to_index,
+    embed_operator,
+    num_qubits,
+    parse_bits,
+    pauli_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -53,17 +61,25 @@ def pauli_expectation(rho: np.ndarray, p: PauliString) -> float:
 
 
 def assistant_traces(state: NdmeState, alpha) -> tuple:
-    """The measured traces (Tr((X (x) Q_alpha) rho), Tr((Y (x) Q_alpha) rho)), as floats."""
-    q = PauliString.from_bits(parse_bits(alpha, state.n)).matrix()
-    tr_x = np.trace(np.kron(X, q) @ state.rho)
-    tr_y = np.trace(np.kron(Y, q) @ state.rho)
+    """The measured traces (Tr((X (x) Q_alpha) rho), Tr((Y (x) Q_alpha) rho)), as floats.
+
+    X (x) Q_alpha maps |J> to |J ^ m> with m = (1, alpha), so both traces
+    are sums of the 2^(n+1) entries rho[J ^ m, J], taken in J order; Y (x)
+    Q_alpha weighs them by -i where the assistant bit of J is 0 and by +i
+    where it is 1.
+    """
+    d = 2**state.n
+    idx = np.arange(2 * d)
+    entries = state.rho[idx ^ (d + bits_to_index(parse_bits(alpha, state.n))), idx]
+    tr_x = entries.sum()
+    tr_y = np.concatenate([-1j * entries[:d], 1j * entries[d:]]).sum()
     if max(abs(tr_x.imag), abs(tr_y.imag)) > 1e-10:
         raise ValueError("Pauli traces of a Hermitian state should be real")
     return float(tr_x.real), float(tr_y.real)
 
 
-def amplitude_via_pauli(state: NdmeState, alpha) -> complex:
-    """Amplitude c_alpha recovered from the X and Y assistant-qubit traces.
+def amplitude_from_traces(state: NdmeState, traces) -> complex:
+    """Amplitude c_alpha from the traces assistant_traces(state, alpha) returns.
 
     With the upper-right block at gamma * S, the exact trace identities are
     Tr((X (x) Q_alpha) rho) = +2^(n/2+1) gamma Re[c_alpha] and
@@ -72,9 +88,14 @@ def amplitude_via_pauli(state: NdmeState, alpha) -> complex:
     """
     if state.gamma < 1e-14:
         raise EncodingError("encoding factor too small to divide out")
-    tr_x, tr_y = assistant_traces(state, alpha)
+    tr_x, tr_y = traces
     scale = 2.0 ** (state.n / 2 + 1) * state.gamma
     return complex(tr_x - 1j * tr_y) / scale
+
+
+def amplitude_via_pauli(state: NdmeState, alpha) -> complex:
+    """Amplitude c_alpha recovered from the X and Y assistant-qubit traces."""
+    return amplitude_from_traces(state, assistant_traces(state, alpha))
 
 
 def _swap_matrix(n: int) -> np.ndarray:
@@ -104,10 +125,10 @@ def expectation_via_swap(state: NdmeState, state1: NdmeState) -> complex:
     ket01 = np.zeros((2, 2), dtype=complex)
     ket01[0, 1] = 1.0  # |0><1|
     ket10 = ket01.T.copy()  # |1><0|
-    assist = embed_operator(np.kron(ket01, ket10), [0, n + 1], total)
     enc_qubits = list(range(1, n + 1)) + list(range(n + 2, 2 * n + 2))
-    swap = embed_operator(_swap_matrix(n), enc_qubits, total)
-    observable = assist @ swap
+    # one product at a time, so at most three 4^(2n+2)-entry matrices are alive
+    observable = embed_operator(np.kron(ket01, ket10), [0, n + 1], total)
+    observable = observable @ embed_operator(_swap_matrix(n), enc_qubits, total)
     return complex(np.trace(observable @ np.kron(state.rho, state1.rho)))
 
 

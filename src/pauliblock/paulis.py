@@ -70,6 +70,14 @@ def parse_bits(bits, n: int | None = None) -> tuple:
     return values
 
 
+def bits_to_index(bits) -> int:
+    """The integer whose binary digits, most significant first, are bits."""
+    out = 0
+    for b in bits:
+        out = (out << 1) | int(b)
+    return out
+
+
 def kron_all(mats) -> np.ndarray:
     return reduce(np.kron, mats)
 

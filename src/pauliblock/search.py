@@ -24,17 +24,10 @@ import numpy as np
 
 from .encoding import block_coefficients, hadamard_transform
 from .errors import DimensionError, SearchFailure
-from .paulis import parse_bits
+from .paulis import bits_to_index, parse_bits
 
 ORACLE_ETA = 1.0 / 3.0
 MAX_SEARCH_QUBITS = 10
-
-
-def bits_to_index(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
 
 
 @dataclass(frozen=True)
@@ -184,22 +177,36 @@ def _indices_to_bits(indices: np.ndarray, width: int) -> np.ndarray:
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def sample_x_basis(rho_out: np.ndarray, shots: int, seed) -> SampleBatch:
+def protocol_x_distribution(oracle: SearchOracle) -> np.ndarray:
+    """X-basis outcome distribution of run_protocol(oracle), in O(2^n).
+
+    Reads the whole state's class sums off the block class sums of the
+    protocol output, which is never expanded.
+    """
+    s = _protocol_sums(oracle)
+    return _x_distribution(np.concatenate([s[0, 0] + s[1, 1], s[0, 1] + s[1, 0]]))
+
+
+def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleBatch:
     """Draw X-basis outcomes; discard the all-plus and minus-all-plus results.
 
     Those two outcomes carry the entire maximally-mixed component of the
-    output, so everything that survives satisfies the target parity
-    relation exactly.
+    protocol output, so everything that survives satisfies the target
+    parity relation exactly.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    probs = x_basis_probabilities(rho_out)
     width = probs.size.bit_length() - 1
     rng = np.random.default_rng(seed)
     indices = rng.choice(probs.size, size=shots, p=probs)
     outcomes = _indices_to_bits(indices, width)
     rejected = (indices == 0) | (indices == probs.size // 2)
     return SampleBatch(outcomes=outcomes, seed=seed, accepted_mask=~rejected)
+
+
+def sample_x_basis(rho_out: np.ndarray, shots: int, seed) -> SampleBatch:
+    """sample_outcomes on the X-basis distribution of a dense output state."""
+    return sample_outcomes(x_basis_probabilities(rho_out), shots, seed)
 
 
 def _gf2_eliminate(M: np.ndarray, cols: int):
@@ -305,8 +312,7 @@ def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
     reports oracle_queries (every drawn sample costs one query),
     acceptance_rate, and independence_batches (batches consumed).
     """
-    s = _protocol_sums(SearchOracle(n=n, target=x))
-    probs = _x_distribution(np.concatenate([s[0, 0] + s[1, 1], s[0, 1] + s[1, 0]]))
+    probs = protocol_x_distribution(SearchOracle(n=n, target=x))
     width = n + 1
     rng = np.random.default_rng(seed)
     stream = _SampleStream(probs, rng, chunk=4 * n)

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauliblock.channels import (
+    F0_VARIANTS,
     GATE_IDS,
     KrausPairChannel,
     apply_channel,
@@ -19,10 +22,12 @@ from pauliblock.channels import (
     po_target,
     verify_po,
 )
+from pauliblock.compiler import Circuit, compile_circuit, run_program
 from pauliblock.encoding import decode_state, encode_state_optimal
 from pauliblock.errors import ChannelError, DimensionError
 from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, I2, PauliString, X, Y, Z, bell_frame, embed_operator
+from pauliblock.suites import random_circuit
 
 LIBRARY = [
     ("X", "projector"),
@@ -265,4 +270,99 @@ def test_rescaled_embedded_pair_is_rejected_when_built():
     pairs = list(ch.pairs)
     pairs[0] = (1.01 * pairs[0][0], pairs[0][1])
     with pytest.raises(ChannelError):
-        KrausPairChannel(n=ch.n, pairs=pairs, eta=ch.eta)
+        KrausPairChannel(n=ch.n, pairs=pairs, eta=ch.eta, qubits=ch.qubits)
+
+
+def _literal_kraus_sum(base, qubits, n, rho):
+    """sum_i F_i rho F_i^dag with F_i = diag(K_i, L_i) embedded as dense 2^(n+1) matrices."""
+    d = 2**n
+    out = np.zeros_like(rho)
+    for K, L in base.pairs:
+        F = np.zeros((2 * d, 2 * d), dtype=complex)
+        F[:d, :d] = embed_operator(K, qubits, n)
+        F[d:, d:] = embed_operator(L, qubits, n)
+        out += F @ rho @ F.conj().T
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GATE_IDS), st.data())
+def test_embedded_channel_matches_literal_kraus_sum(gate, data):
+    variant = data.draw(st.sampled_from(F0_VARIANTS if gate in ("X", "Y", "Z") else ["projector"]))
+    base = gate_channel(gate, variant)
+    n = data.draw(st.integers(base.n, 5))
+    qubits = [int(q) for q in data.draw(st.permutations(range(n)))[: base.n]]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = encode_state_optimal(random_statevector(n, rng))
+    out = apply_channel(embed_channel(base, qubits, n), state)
+    assert np.abs(out.rho - _literal_kraus_sum(base, qubits, n, state.rho)).max() <= 1e-15
+
+
+# The library channel each circuit gate compiles to (the Hadamard-conjugated gate).
+LIBRARY_GATE = {"H": "H", "S": "HSH", "T": "HTH", "CNOT": "HH_CNOT_HH"}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", range(3))
+def test_program_matches_literal_kraus_sums(n, seed):
+    rng = np.random.default_rng([n, seed])
+    circ = random_circuit(rng, n, k=int(rng.integers(0, 4)), extra_gates=27)
+    circ = Circuit(n=n, gates=circ.gates[:30])
+    state = encode_state_optimal(random_statevector(n, rng))
+    rho = state.rho
+    for name, qubits in circ.gates:
+        rho = _literal_kraus_sum(gate_channel(LIBRARY_GATE[name]), qubits, n, rho)
+    assert np.abs(run_program(compile_circuit(circ), state).rho - rho).max() <= 1e-15
+
+
+def test_embedded_channel_keeps_local_pairs():
+    base = gate_channel("HH_CNOT_HH")
+    ch = embed_channel(base, [3, 1], 5)
+    assert ch.qubits == (3, 1) and ch.n == 5
+    assert all(K is Kb and L is Lb for (K, L), (Kb, Lb) in zip(ch.pairs, base.pairs))
+    # re-embedding composes the qubit maps
+    again = embed_channel(ch, [4, 0, 2, 5, 1], 6)
+    assert again.qubits == (5, 0)
+
+
+@pytest.mark.parametrize(
+    "qubits,n,pair_dim",
+    [
+        ((0, 0), 2, 4),  # duplicate
+        ((2,), 2, 2),  # out of range
+        ((-1,), 2, 2),
+        ((0, 1), 2, 2),  # two qubits, 2x2 pairs
+        ((0,), 2, 4),  # one qubit, 4x4 pairs
+        ((0.0,), 1, 2),  # not an integer
+        (3, 4, 2),  # not a sequence
+    ],
+)
+def test_bad_qubits_are_rejected_when_built(qubits, n, pair_dim):
+    eye = np.eye(pair_dim, dtype=complex)
+    with pytest.raises((ChannelError, DimensionError)):
+        KrausPairChannel(n=n, pairs=[(eye, eye)], eta=1.0, qubits=qubits)
+    entries = [[float(z.real), float(z.imag)] for z in eye.reshape(-1)]
+    wire = {"n": n, "eta": 1.0, "qubits": qubits, "pairs": [{"k": entries, "l": entries}]}
+    with pytest.raises((ChannelError, DimensionError)):
+        channel_from_dict(wire)
+
+
+def test_wire_format_writes_qubits_only_when_local():
+    ch = embed_channel(gate_channel("HH_CNOT_HH"), [2, 0], 3)
+    data = channel_to_dict(ch)
+    assert data["qubits"] == [2, 0]
+    assert len(data["pairs"][0]["k"]) == 16
+    back = channel_from_dict(json.loads(json.dumps(data)))
+    assert back.qubits == (2, 0) and back.n == 3
+    assert "qubits" not in channel_to_dict(embed_channel(gate_channel("HH_CNOT_HH"), [0, 1], 2))
+
+
+def test_compose_requires_equal_qubits():
+    h = gate_channel("H")
+    with pytest.raises(DimensionError):
+        compose(embed_channel(h, [0], 2), embed_channel(h, [1], 2))
+    hsh = gate_channel("HSH")
+    both = compose(embed_channel(h, [1], 2), embed_channel(hsh, [1], 2))
+    assert both.qubits == (1,)
+    want = cbe_operator(embed_channel(compose(h, hsh), [1], 2))
+    assert np.abs(cbe_operator(both) - want).max() == 0

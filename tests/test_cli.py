@@ -307,3 +307,93 @@ def test_bit_strings_share_one_validator(tmp_path, capsys, bad):
     assert code == 2 and out == ""
     messages.add(err.strip().removeprefix("error: "))
     assert messages == {f"expected a string of 3 bits, got {bad!r}"}
+
+
+# (n, target, seed, oracle_queries, acceptance_rate, independence_rate) as
+# reported when the calibration batch was drawn from the dense protocol state.
+SEARCH_REPORT_PINS = [
+    (3, "101", 0, 5, 0.4358, 1.0),
+    (4, "0110", 1, 9, 0.473, 1.0),
+    (5, "11100", 2, 27, 0.4834, 0.5),
+    (6, "101100", 3, 27, 0.4862, 0.5),
+    (7, "0010111", 4, 28, 0.496, 0.5),
+    (8, "11011000", 5, 30, 0.5057, 0.5),
+    (9, "100110101", 6, 90, 0.5098, 0.2),
+    (10, "1011001110", 7, 226, 0.497, 0.1),
+    (10, "0000000001", 11, 22, 0.4961, 1.0),
+]
+
+
+@pytest.mark.parametrize("n,target,seed,queries,acceptance,independence", SEARCH_REPORT_PINS)
+def test_search_report_pinned(capsys, n, target, seed, queries, acceptance, independence):
+    args = ["search", "--n", str(n), "--target", target, "--seed", str(seed)]
+    code, out, _ = run_cli(args, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["found"] == target
+    assert report["oracle_queries"] == queries
+    assert report["acceptance_rate"] == acceptance
+    assert report["independence_rate"] == independence
+
+
+def test_search_command_memory_is_linear_in_dimension(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = cli.main(["search", "--n", "10", "--target", "1011001110", "--seed", "7"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
+def test_amplitude_takes_each_trace_once(tmp_path, capsys, monkeypatch):
+    from pauliblock import measure
+
+    calls = []
+    original = measure.assistant_traces
+    counted = lambda *a: calls.append(a) or original(*a)  # noqa: E731
+    monkeypatch.setattr(cli, "assistant_traces", counted)
+    monkeypatch.setattr(measure, "assistant_traces", counted)
+    path = tmp_path / "circ.txt"
+    path.write_text(CIRCUIT)
+    code, out, _ = run_cli(["amplitude", "--circuit", str(path), "--alpha", "011"], capsys)
+    assert code == 0 and len(calls) == 1
+    report = json.loads(out)
+    plus = encode_state_optimal(np.full(8, 8**-0.5))
+    want = amplitude_via_pauli(run_program(compile_circuit(parse_circuit(CIRCUIT)), plus), "011")
+    assert (report["c_alpha_pqc_re"], report["c_alpha_pqc_im"]) == (want.real, want.imag)
+
+
+@pytest.mark.parametrize("qubits", [[1, 1], [0, 3], [0]])
+def test_bad_wire_qubits_exit_2(tmp_path, capsys, monkeypatch, qubits):
+    # no subcommand reads channel JSON yet, so the amplitude command is made
+    # to load its program from a wire dump with bad qubits
+    from pauliblock.compiler import program_from_dict, program_to_dict
+
+    wire = program_to_dict(compile_circuit(parse_circuit("qubits 3\nCNOT 2 0\n")))
+    wire["channels"][0]["qubits"] = qubits
+    monkeypatch.setattr(cli, "compile_circuit", lambda circ: program_from_dict(wire))
+    path = tmp_path / "circ.txt"
+    path.write_text("qubits 3\nCNOT 2 0\n")
+    code, out, err = run_cli(["amplitude", "--circuit", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_python_m_runs_the_driver():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "pauliblock", "verify-gates"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["pass"] is True

@@ -175,3 +175,48 @@ def test_compile_builds_each_library_channel_once(monkeypatch):
     prog = compile_circuit(circ)
     assert sorted(built) == ["H", "HH_CNOT_HH", "HSH", "HTH"]
     assert len(prog.channels) == len(circ.gates)
+
+
+def test_compile_builds_no_dense_blocks(monkeypatch):
+    import pauliblock.channels as channels
+    import pauliblock.paulis as paulis
+
+    def refuse(*args, **kwargs):
+        pytest.fail("compile_circuit embedded an operator")
+
+    monkeypatch.setattr(paulis, "embed_operator", refuse)
+    monkeypatch.setattr(channels, "embed_operator", refuse)
+    n = 7
+    rng = np.random.default_rng(70)
+    circ = random_circuit(rng, n, k=3, extra_gates=27)
+    prog = compile_circuit(circ)
+    assert len(prog.channels) == 30
+    pair_bytes = sum(K.nbytes + L.nbytes for ch in prog.channels for K, L in ch.pairs)
+    assert pair_bytes < 64 * 1024
+
+
+def test_old_full_width_dump_loads_and_runs_to_the_same_rho():
+    import json
+
+    from pauliblock.compiler import program_from_dict, program_to_dict
+
+    circ = parse_circuit("qubits 3\nH 0\nCNOT 2 0\nT 1\nS 2\nH 2\nCNOT 0 1\n")
+    prog = compile_circuit(circ)
+    # the format written before channels carried their qubits: full 2^n pairs, no "qubits"
+    old = program_to_dict(prog)
+    for ch, wire in zip(prog.channels, old["channels"]):
+        wire.pop("qubits")
+        wire["pairs"] = [
+            {
+                "k": [[z.real, z.imag] for z in embed_operator(K, ch.qubits, 3).reshape(-1)],
+                "l": [[z.real, z.imag] for z in embed_operator(L, ch.qubits, 3).reshape(-1)],
+            }
+            for K, L in ch.pairs
+        ]
+    back = program_from_dict(json.loads(json.dumps(old)))
+    assert all(ch.qubits == (0, 1, 2) for ch in back.channels)
+    st = encode_state_optimal(np.full(8, 8**-0.5))
+    a = run_program(prog, st)
+    b = run_program(back, st)
+    assert np.abs(a.rho - b.rho).max() <= 1e-15
+    assert a.gamma == pytest.approx(b.gamma, abs=1e-15)

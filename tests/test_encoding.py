@@ -30,6 +30,35 @@ def test_hadamard_transform_matches_dense():
         assert np.abs(hadamard_transform(hadamard_transform(v)) - v).max() < 1e-12
 
 
+def _loop_hadamard_transform(arr, axis=0):
+    """The slice-by-slice butterfly the staged version replaced (reference)."""
+    out = np.moveaxis(np.array(arr, dtype=complex), axis, 0)
+    size = out.shape[0]
+    h = 1
+    while h < size:
+        for start in range(0, size, 2 * h):
+            a = out[start : start + h].copy()
+            b = out[start + h : start + 2 * h]
+            out[start : start + h] = a + b
+            out[start + h : start + 2 * h] = a - b
+        h *= 2
+    out /= np.sqrt(size)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize(
+    "shape,axis",
+    [((1,), 0), ((2,), 0), ((1024,), 0), ((16, 3), 0), ((3, 16), 1), ((4, 8, 2), 1), ((2, 4, 8), -1)],
+)
+def test_hadamard_transform_equals_loop_reference(shape, axis):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for arr in (v, v.real, np.asfortranarray(v)):
+        before = arr.copy()
+        assert np.array_equal(hadamard_transform(arr, axis), _loop_hadamard_transform(arr, axis))
+        assert np.array_equal(arr, before)
+
+
 def test_s_from_amplitudes_fixtures():
     assert np.abs(s_from_amplitudes([1, 0]) - I2 / np.sqrt(2)).max() < 1e-15
     plus = np.outer([1, 1], [1, 1]) / 2

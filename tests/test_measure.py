@@ -6,6 +6,7 @@ from pauliblock.errors import EncodingError
 from pauliblock.measure import (
     MeasurementRecord,
     amplitude_via_pauli,
+    assistant_traces,
     expectation_via_swap,
     hle_identity_check,
     pauli_expectation,
@@ -52,6 +53,19 @@ def test_amplitude_on_uniform_state():
     q = PauliString.from_bits([0, 0, 0]).matrix()
     x_obs = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), q)
     assert np.trace(x_obs @ st.rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_assistant_traces_equal_dense_traces(n):
+    rng = np.random.default_rng(n)
+    st = encode_state_optimal(random_statevector(n, rng))
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    for alpha in range(2**n):
+        bits = [(alpha >> (n - 1 - j)) & 1 for j in range(n)]
+        q = PauliString.from_bits(bits).matrix()
+        want = (np.trace(np.kron(x, q) @ st.rho).real, np.trace(np.kron(y, q) @ st.rho).real)
+        assert assistant_traces(st, bits) == want
 
 
 def test_amplitude_on_basis_state():

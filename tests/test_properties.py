@@ -112,7 +112,7 @@ def embedded_library_channels(draw):
 @given(embedded_library_channels())
 def test_wire_format_round_trip_embedded(ch):
     back = channel_from_dict(json.loads(json.dumps(channel_to_dict(ch))))
-    assert back.n == ch.n and back.eta == ch.eta
+    assert back.n == ch.n and back.eta == ch.eta and back.qubits == ch.qubits
     assert len(back.pairs) == len(ch.pairs)
     for (k1, l1), (k2, l2) in zip(ch.pairs, back.pairs):
         assert np.array_equal(k1, k2) and np.array_equal(l1, l2)
