@@ -127,15 +127,44 @@ def check_cptp(ch: KrausPairChannel, atol: float = 1e-12) -> float:
     return resid
 
 
+def conjugate_pairs(rho: np.ndarray, blocks: np.ndarray, qubits: tuple) -> np.ndarray:
+    """sum_i diag(K_i, L_i) rho diag(K_i, L_i)^dag for a raw (2d, 2d) rho.
+
+    blocks stacks the pairs as one (pair, 2, local, local) array holding
+    (K_i, L_i) on the given encoding qubits; the pairs need not be trace
+    preserving.  rho is viewed as a tensor with one axis per row and per
+    column qubit (assistant first) and transposed once, so that the
+    assistant and the pairs' qubits lead on the row side and trail on the
+    column side; a full-width stack needs no transpose.  Each pair then
+    costs two small products into reused buffers: K and L on the top and
+    bottom row halves, then conj(K) and conj(L) on the left and right
+    column halves.
+    """
+    n = num_qubits(rho.shape[0]) - 1
+    local = 2 ** len(qubits)
+    # index 0 is the assistant row, 1 + q qubit q's row; columns follow at n + 1
+    lead = [0] + [1 + q for q in qubits]
+    rest = [1 + q for q in range(n) if q not in qubits]
+    lead_cols = [n + 1 + a for a in lead]
+    rest_cols = [n + 1 + a for a in rest]
+    order = lead + rest + rest_cols + lead_cols
+    tensor = np.ascontiguousarray(rho.reshape([2] * (2 * n + 2)).transpose(order))
+    rows = tensor.reshape(2, local, -1)
+    half = np.empty(rows.shape, dtype=complex)
+    cols = half.reshape(-1, 2, local).transpose(1, 2, 0)
+    acc = np.zeros((2, local, rows.size // (2 * local)), dtype=complex)
+    term = np.empty_like(acc)
+    for pair, conj in zip(blocks, blocks.conj()):
+        np.matmul(pair, rows, out=half)
+        np.matmul(conj, cols, out=term)
+        acc += term
+    # acc holds the column-side lead first, then the row side and the rest
+    acc_order = lead_cols + lead + rest + rest_cols
+    return acc.reshape([2] * (2 * n + 2)).transpose(np.argsort(acc_order)).reshape(rho.shape)
+
+
 def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
     """Apply the channel to an encoded state, recomputing the encoding factor.
-
-    rho is viewed as a tensor with one axis per row and per column qubit
-    (assistant first) and transposed once, so that the assistant and the
-    channel's qubits lead on the row side and trail on the column side; a
-    full-width channel needs no transpose.  Each pair then costs two small
-    products into reused buffers: K and L on the top and bottom row halves,
-    then conj(K) and conj(L) on the left and right column halves.
 
     The output gamma is the l2 norm of the {I, X}-sector coefficients of the
     transformed block, which equals eta * gamma_in * ||V psi|| whenever the
@@ -143,29 +172,8 @@ def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
     """
     if state.n != ch.n:
         raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
-    n = ch.n
-    d = 2**n
-    local = 2 ** len(ch.qubits)
-    # index 0 is the assistant row, 1 + q qubit q's row; columns follow at n + 1
-    lead = [0] + [1 + q for q in ch.qubits]
-    rest = [1 + q for q in range(n) if q not in ch.qubits]
-    lead_cols = [n + 1 + a for a in lead]
-    rest_cols = [n + 1 + a for a in rest]
-    order = lead + rest + rest_cols + lead_cols
-    tensor = np.ascontiguousarray(state.rho.reshape([2] * (2 * n + 2)).transpose(order))
-    rows = tensor.reshape(2, local, -1)
-    half = np.empty(rows.shape, dtype=complex)
-    cols = half.reshape(-1, 2, local).transpose(1, 2, 0)
-    acc = np.zeros((2, local, rows.size // (2 * local)), dtype=complex)
-    term = np.empty_like(acc)
-    blocks = np.array(ch.pairs)  # (pair, assistant, local, local)
-    for pair, conj in zip(blocks, blocks.conj()):
-        np.matmul(pair, rows, out=half)
-        np.matmul(conj, cols, out=term)
-        acc += term
-    # acc holds the column-side lead first, then the row side and the rest
-    acc_order = lead_cols + lead + rest + rest_cols
-    out = acc.reshape([2] * (2 * n + 2)).transpose(np.argsort(acc_order)).reshape(2 * d, 2 * d)
+    d = 2**ch.n
+    out = conjugate_pairs(state.rho, np.array(ch.pairs), ch.qubits)
     gamma = float(np.linalg.norm(block_coefficients(out[:d, d:])))
     return NdmeState(n=state.n, rho=out, gamma=gamma)
 

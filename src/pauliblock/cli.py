@@ -27,9 +27,14 @@ from .compiler import (
 )
 from .encoding import encode_state_optimal, s_from_amplitudes
 from .errors import DimensionError, ParseError, SearchFailure
-from .lindblad import coherence_steadiness, ite_block_residual, parse_hamiltonian
+from .lindblad import (
+    coherence_steadiness,
+    coherence_values,
+    ite_block_residual,
+    parse_hamiltonian,
+)
 from .measure import MeasurementRecord, amplitude_from_traces, assistant_traces
-from .paulis import HADAMARD, X, kron_all, parse_bits
+from .paulis import HADAMARD, kron_all, parse_bits
 from .search import SearchOracle, end_to_end_search, protocol_x_distribution, sample_outcomes
 from .suites import split_seeds
 
@@ -187,8 +192,7 @@ def cmd_lindblad(args) -> int:
     if args.trajectory_csv:
         coherence_vals = None
         if coherence is not None:
-            obs = np.kron(X, coherence)
-            coherence_vals = [float(np.trace(obs @ s.rho).real) for s in traj.states]
+            coherence_vals = coherence_values(traj, coherence).real.tolist()
         with open(args.trajectory_csv, "w") as fh:
             fh.write("t,trace_re,block_norm,coherence_re\n")
             for i, t in enumerate(traj.times):
@@ -345,6 +349,10 @@ def main(argv=None) -> int:
     if args.command == "search" and not args.sweep and (args.target is None or args.n is None):
         parser.error("search needs --n and --target unless --sweep is given")
     try:
+        for option in ("tolerance", "dt"):
+            value = getattr(args, option, 1.0)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"--{option} must be finite and positive, got {value}")
         return args.func(args)
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

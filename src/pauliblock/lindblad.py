@@ -1,34 +1,31 @@
 """Dissipative block dynamics from a signed Pauli Hamiltonian.
 
-Each Hamiltonian term lambda_i P_i becomes a jump operator
-F_i = diag(P1_i, P2_i) built so that the Bell-frame conjugation of
-P1 (x) conj(P2) equals -I (x) P_i.  Since every F_i is unitary, the
-dissipator reduces to sum_i lambda_i (F rho F^dag - rho), and the
-upper-right block then evolves exactly as the unnormalized flow
-d psi/dt = (-H_p - sum lambda_i) psi of the decoded state.
+Each Hamiltonian term lambda_i P_i becomes the jump F_i = diag(K_i, L_i)
+whose pair (K_i, L_i) is the identity-variant Pauli channel of -P_i, the
+same channel the gate library builds: the Bell-frame conjugation of
+K_i (x) conj(L_i) equals -I (x) P_i.  Since every F_i is unitary, the
+dissipator reduces to sum_i lambda_i (F_i rho F_i^dag - rho), which the
+gate kernel (channels.conjugate_pairs) evaluates in one call on the pairs
+scaled by sqrt(lambda_i).  The upper-right block then evolves exactly as
+the unnormalized flow d psi/dt = (-H_p - sum lambda_i) psi of the decoded
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import oracle
+from .channels import conjugate_pairs, pauli_channel, verify_po
 from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix
 from .errors import DimensionError, IntegratorError, ParseError, read_qubit_text
-from .paulis import PauliString, X, bell_frame, num_qubits, pauli_matrix
+from .paulis import PauliString, X, num_qubits
 
 # Classical RK4 is stable on the negative real axis down to about -2.785.
 RK4_STABILITY_LIMIT = 2.785
-
-# Per-letter factors (k, l, l_sign) with U_B (k (x) conj(sign*l)) U_B^dag = I (x) letter.
-_JUMP_LETTER = {
-    "I": ("I", "I", 1),
-    "X": ("I", "X", 1),
-    "Y": ("Z", "Y", -1),
-    "Z": ("Z", "Z", 1),
-}
 
 
 @dataclass(frozen=True)
@@ -79,91 +76,51 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
 @dataclass(frozen=True)
 class JumpSet:
     n: int
-    jumps: tuple  # of (lambda_i, P1: PauliString, P2: PauliString)
+    jumps: tuple  # of (lambda_i, KrausPairChannel with the single pair (K_i, L_i))
+
+    @cached_property
+    def weighted_pairs(self) -> np.ndarray:
+        """Every jump pair scaled by sqrt(lambda_i), stacked as (term, 2, d, d)."""
+        d = 2**self.n
+        scaled = [np.sqrt(lam) * np.array(ch.pairs) for lam, ch in self.jumps]
+        return np.array(scaled, dtype=complex).reshape(-1, 2, d, d)
+
+    def rate_sum(self) -> float:
+        return float(sum(lam for lam, _ in self.jumps))
 
 
 def build_jumps(h: PauliHamiltonian) -> JumpSet:
-    """Jump pair for each term, targeting -I (x) P_i in the Bell frame.
+    """Jump for each term: the identity-variant Pauli channel of -P_i.
 
-    The per-letter factors produce +I (x) |P_i|; the L-side sign is flipped
-    once exactly when P_i carries phase +1, which lands the dense product on
-    -I (x) P_i for either sign of the term.
+    Its one pair (K_i, L_i) block-encodes -P_i at eta = 1, that is
+    U_B (K_i (x) conj(L_i)) U_B^dag = -I (x) P_i, which makes
+    F_i = diag(K_i, L_i) the jump operator of the term lambda_i P_i.
     """
-    jumps = []
-    for lam, p in h.terms:
-        k_letters = []
-        l_letters = []
-        l_phase = 1 + 0j
-        for letter in p.letters:
-            k, l, sign = _JUMP_LETTER[letter]
-            k_letters.append(k)
-            l_letters.append(l)
-            l_phase *= sign
-        if p.phase == 1 + 0j:
-            l_phase = -l_phase
-        p1 = PauliString(1, "".join(k_letters))
-        p2 = PauliString(l_phase, "".join(l_letters))
-        jumps.append((lam, p1, p2))
-    return JumpSet(n=h.n, jumps=tuple(jumps))
+    jumps = tuple((lam, pauli_channel(-p, "identity")) for lam, p in h.terms)
+    return JumpSet(n=h.n, jumps=jumps)
 
 
 def validate_jumps(jumps: JumpSet, h: PauliHamiltonian) -> float:
-    """Max residual of the Bell-frame identity over all jumps.
+    """Max residual of the block-encoding identity of -P_i over all jumps.
 
-    Dense check U_B (P1 (x) conj(P2)) U_B^dag = -I (x) P_i at n <= 3.  For
-    larger n the per-letter table entries are checked densely on one qubit
-    pair and the accumulated signs are audited; the tensor structure makes
-    that equivalent and exact.
+    The check is dense (verify_po), so like cbe_operator it refuses n > 4
+    with DimensionError.
     """
-    worst = 0.0
-    if jumps.n <= 3:
-        ub = bell_frame(jumps.n)
-        eye = np.eye(2**jumps.n)
-        for (_, p1, p2), (_, p) in zip(jumps.jumps, h.terms):
-            lhs = ub @ np.kron(p1.matrix(), p2.matrix().conj()) @ ub.conj().T
-            rhs = -np.kron(eye, p.matrix())
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
-    ub = bell_frame(1)
-    for (_, p1, p2), (_, p) in zip(jumps.jumps, h.terms):
-        expected_phase = 1 + 0j
-        for k, l, letter in zip(p1.letters, p2.letters, p.letters):
-            tk, tl, sign = _JUMP_LETTER[letter]
-            if (k, l) != (tk, tl):
-                return 2.0
-            expected_phase *= sign
-            lhs = ub @ np.kron(
-                pauli_matrix(tk), (sign * pauli_matrix(tl)).conj()
-            ) @ ub.conj().T
-            target = np.kron(np.eye(2), pauli_matrix(letter))
-            worst = max(worst, float(np.abs(lhs - target).max()))
-        if p.phase == 1 + 0j:
-            expected_phase = -expected_phase
-        worst = max(
-            worst, float(abs(p1.phase - 1)), float(abs(p2.phase - expected_phase))
-        )
-    return worst
+    return max(
+        (
+            verify_po(ch, (-p).matrix(), "identity", 1.0)
+            for (_, ch), (_, p) in zip(jumps.jumps, h.terms)
+        ),
+        default=0.0,
+    )
 
 
 def lindblad_rhs(rho: np.ndarray, jumps: JumpSet) -> np.ndarray:
-    """sum_i lambda_i (F_i rho F_i^dag - rho) evaluated blockwise."""
-    d = 2**jumps.n
-    if rho.shape[0] != 2 * d:
+    """sum_i lambda_i (F_i rho F_i^dag - rho) as one conjugation of the scaled pairs."""
+    if rho.shape[0] != 2 ** (jumps.n + 1):
         raise DimensionError(f"state dimension {rho.shape[0]} does not match jumps")
-    mats = [(lam, p1.matrix(), p2.matrix()) for lam, p1, p2 in jumps.jumps]
-    return _rhs_from_mats(rho, mats, d)
-
-
-def _rhs_from_mats(rho, mats, d):
-    r00, r01 = rho[:d, :d], rho[:d, d:]
-    r10, r11 = rho[d:, :d], rho[d:, d:]
-    out = np.zeros_like(rho)
-    for lam, m1, m2 in mats:
-        out[:d, :d] += lam * (m1 @ r00 @ m1.conj().T - r00)
-        out[:d, d:] += lam * (m1 @ r01 @ m2.conj().T - r01)
-        out[d:, :d] += lam * (m2 @ r10 @ m1.conj().T - r10)
-        out[d:, d:] += lam * (m2 @ r11 @ m2.conj().T - r11)
-    return out
+    dissipated = conjugate_pairs(rho, jumps.weighted_pairs, tuple(range(jumps.n)))
+    return dissipated - jumps.rate_sum() * rho
 
 
 @dataclass(frozen=True)
@@ -182,18 +139,20 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step classical RK4 integration of the dissipator.
 
-    t_max must be a whole number of steps (to a relative 1e-9), so the
-    trajectory ends exactly at t_max.  Snapshots are recorded every
-    record_every steps (plus start and end).  Trace drift beyond 1e-6
-    aborts with IntegratorError.
+    dt, t_max and their ratio must be finite, and t_max a whole number of
+    steps (to a relative 1e-9), so the trajectory ends exactly at t_max.
+    Snapshots are recorded every record_every steps (plus start and end).
+    Trace drift beyond 1e-6 aborts with IntegratorError.
 
     Every jump is a Hermitian unitary, so the dissipator's spectrum lies in
     [-2 sum lambda, 0]; a step with 2 dt sum lambda beyond RK4's real-axis
     stability limit is rejected before it is taken.  The trace guard cannot
     catch that case: RK4 preserves the trace while the entries blow up.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (np.isfinite(t_max) and np.isfinite(t_max / dt)):
+        raise ValueError(f"t_max and t_max / dt must be finite, got t_max={t_max}, dt={dt}")
     if t_max < dt:
         raise ValueError("t_max must be at least dt")
     if state0.n != jumps.n:
@@ -201,24 +160,23 @@ def evolve(
     steps = int(round(t_max / dt))
     if abs(t_max / dt - steps) > 1e-9 * (t_max / dt):
         raise ValueError(f"t_max={t_max} is not a whole number of steps of dt={dt}")
-    rate_sum = sum(lam for lam, _, _ in jumps.jumps)
+    rate_sum = jumps.rate_sum()
     if 2.0 * dt * rate_sum > RK4_STABILITY_LIMIT:
         raise ValueError(
             f"dt={dt} is unstable for rate sum {rate_sum}: RK4 needs"
             f" 2 * dt * rate sum <= {RK4_STABILITY_LIMIT}"
         )
     d = 2**jumps.n
-    mats = [(lam, p1.matrix(), p2.matrix()) for lam, p1, p2 in jumps.jumps]
     rho = state0.rho.astype(complex).copy()
 
     times = [0.0]
     states = [state0]
     norms = [float(np.linalg.norm(state0.block()))]
     for step in range(1, steps + 1):
-        k1 = _rhs_from_mats(rho, mats, d)
-        k2 = _rhs_from_mats(rho + 0.5 * dt * k1, mats, d)
-        k3 = _rhs_from_mats(rho + 0.5 * dt * k2, mats, d)
-        k4 = _rhs_from_mats(rho + dt * k3, mats, d)
+        k1 = lindblad_rhs(rho, jumps)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, jumps)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, jumps)
+        k4 = lindblad_rhs(rho + dt * k3, jumps)
         rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(np.trace(rho) - 1.0)
         if drift > 1e-6:
@@ -263,15 +221,17 @@ def ite_block_residual(
     return traj, worst
 
 
+def coherence_values(trajectory: Trajectory, O: np.ndarray) -> np.ndarray:
+    """Tr(rho_t (X (x) O)) at every recorded snapshot of the trajectory."""
+    observable = np.kron(X, np.asarray(O, dtype=complex))
+    return np.array([np.trace(observable @ s.rho) for s in trajectory.states])
+
+
 def coherence_steadiness(trajectory: Trajectory, O: np.ndarray) -> float:
     """Largest |d/dt Tr(rho_t (X (x) O))| along the trajectory.
 
     Finite differences on the recorded snapshots (second order, including
     the endpoints), so the early-time behavior is visible.
     """
-    observable = np.kron(X, np.asarray(O, dtype=complex))
-    values = np.array(
-        [np.trace(observable @ s.rho) for s in trajectory.states]
-    )
-    grads = np.gradient(values, trajectory.times)
+    grads = np.gradient(coherence_values(trajectory, O), trajectory.times)
     return float(np.abs(grads).max())

@@ -284,55 +284,38 @@ def scan_all_targets(outcomes: np.ndarray, n: int) -> np.ndarray:
     return candidates[int(np.argmax(scores))]
 
 
-class _SampleStream:
-    """Sequential sampler that counts every drawn outcome as one query."""
-
-    def __init__(self, probs: np.ndarray, rng: np.random.Generator, chunk: int):
-        self.probs = probs
-        self.rng = rng
-        self.chunk = max(chunk, 8)
-        self.buffer = []
-        self.drawn = 0
-
-    def next_index(self) -> int:
-        if not self.buffer:
-            draws = self.rng.choice(self.probs.size, size=self.chunk, p=self.probs)
-            self.buffer = list(draws[::-1])
-        self.drawn += 1
-        return self.buffer.pop()
-
-
 def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
     """Full pipeline: protocol state, sampling, post-selection, GF(2) solve.
 
     The protocol state stays as its block class sums and is never expanded,
     so building the sampling distribution costs O(2^n) time and memory.
-    Gathers fresh batches of n accepted outcomes until one has full rank,
-    then solves for the target.  Returns (found_bits, stats) where stats
-    reports oracle_queries (every drawn sample costs one query),
-    acceptance_rate, and independence_batches (batches consumed).
+    Outcomes are drawn with sample_outcomes in chunks of max(4n, 8) and
+    consumed in order; each batch runs up to its n-th accepted outcome and
+    goes to extract_target, until a batch has full rank.  Returns
+    (found_bits, stats) where stats reports oracle_queries (every consumed
+    sample costs one query), acceptance_rate, and independence_batches
+    (batches consumed).
     """
     probs = protocol_x_distribution(SearchOracle(n=n, target=x))
-    width = n + 1
     rng = np.random.default_rng(seed)
-    stream = _SampleStream(probs, rng, chunk=4 * n)
-    dim_half = probs.size // 2
-
-    accepted_total = 0
+    chunk = max(4 * n, 8)
+    outcomes = np.empty((0, n + 1), dtype=np.uint8)
+    kept = np.empty(0, dtype=bool)
+    queries = 0
     for batch_no in range(1, max_batch_retries + 1):
-        rows = []
-        while len(rows) < n:
-            idx = stream.next_index()
-            if idx == 0 or idx == dim_half:
-                continue
-            rows.append(idx)
-        accepted_total += n
-        beta = _indices_to_bits(np.array(rows), width)
-        solution = gf2_solve(beta[:, 1:], beta[:, 0])
+        while np.count_nonzero(kept) < n:
+            drawn = sample_outcomes(probs, chunk, rng)
+            outcomes = np.concatenate([outcomes, drawn.outcomes])
+            kept = np.concatenate([kept, drawn.accepted_mask])
+        used = int(np.flatnonzero(kept)[n - 1]) + 1
+        batch = SampleBatch(outcomes=outcomes[:used], seed=seed, accepted_mask=kept[:used])
+        solution = extract_target(batch)
+        outcomes, kept = outcomes[used:], kept[used:]
+        queries += used
         if solution is not None:
             stats = {
-                "oracle_queries": stream.drawn,
-                "acceptance_rate": accepted_total / stream.drawn,
+                "oracle_queries": queries,
+                "acceptance_rate": batch_no * n / queries,
                 "independence_batches": batch_no,
             }
             return solution, stats

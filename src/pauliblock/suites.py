@@ -438,10 +438,13 @@ def oracle_identity_suite(seed, tol: float = 1e-12) -> dict:
 def search_suite(seed, runs: int = 200, ns=(3, 4, 5, 6, 7, 8)) -> dict:
     """Planted-target recovery statistics and query-count scaling.
 
-    runs must be at least 2: the per-n standard error needs two samples.
+    runs must be at least 2: the per-n standard error needs two samples;
+    ns must name at least one qubit count, each at least 1.
     """
     if runs < 2:
         raise ValueError(f"search_suite needs runs >= 2, got {runs}")
+    if not ns or min(ns) < 1:
+        raise ValueError(f"search_suite needs one or more qubit counts n >= 1, got {list(ns)}")
     child_seeds = split_seeds(seed, len(ns))
     per_n = []
     for n, child in zip(ns, child_seeds):

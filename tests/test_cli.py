@@ -6,6 +6,7 @@ import pytest
 from pauliblock import cli, suites
 from pauliblock.compiler import compile_circuit, parse_circuit, run_program
 from pauliblock.encoding import encode_state_optimal
+from pauliblock.lindblad import build_jumps, coherence_values, evolve, parse_hamiltonian
 from pauliblock.measure import amplitude_via_pauli
 from pauliblock.paulis import PauliString, X, Y
 from pauliblock.search import SearchOracle
@@ -397,3 +398,54 @@ def test_python_m_runs_the_driver():
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
+    circuit = tmp_path / "circ.txt"
+    circuit.write_text(CIRCUIT)
+    hamiltonian = tmp_path / "frus.txt"
+    hamiltonian.write_text(FRUSTRATED)
+    for argv in (
+        ["verify-gates"],
+        ["amplitude", "--circuit", str(circuit)],
+        ["lindblad", "--hamiltonian", str(hamiltonian), "--t-max", "0.1"],
+    ):
+        code, out, err = run_cli(argv + [f"--tolerance={value}"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: --tolerance must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "times",
+    [["--t-max", "inf"], ["--t-max", "nan"], ["--t-max", "1e300", "--dt", "1e-300"], ["--dt", "0"]],
+)
+def test_lindblad_non_finite_times_are_input_errors(tmp_path, capsys, times):
+    path = tmp_path / "frus.txt"
+    path.write_text(FRUSTRATED)
+    code, out, err = run_cli(["lindblad", "--hamiltonian", str(path)] + times, capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("sweep", ["5:3", "0:1"])
+def test_search_sweep_bad_range_is_input_error(capsys, sweep):
+    code, out, err = run_cli(["search", "--sweep", sweep, "--runs", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: search_suite needs one or more qubit counts n >= 1")
+
+
+def test_trajectory_csv_coherence_column_is_coherence_values(tmp_path, capsys):
+    path = tmp_path / "bell.txt"
+    path.write_text(BELL)
+    traj_csv = tmp_path / "traj.csv"
+    argv = ["lindblad", "--hamiltonian", str(path), "--t-max", "0.5"]
+    code, _, _ = run_cli(argv + ["--trajectory-csv", str(traj_csv)], capsys)
+    assert code == 0
+    h = parse_hamiltonian(BELL)
+    traj = evolve(encode_state_optimal(np.full(4, 0.5)), build_jumps(h), 0.5, 1e-3, 10)
+    want = coherence_values(traj, cli._ground_coherence_matrix(h))
+    column = [line.split(",")[3] for line in traj_csv.read_text().splitlines()[1:]]
+    assert column == [repr(float(v.real)) for v in want]

@@ -10,9 +10,10 @@ from pauliblock.encoding import (
     s_from_amplitudes,
     sector_matrix,
 )
-from pauliblock.errors import IntegratorError, ParseError
+from pauliblock.errors import DimensionError, IntegratorError, ParseError
 from pauliblock.lindblad import (
     JumpSet,
+    PauliHamiltonian,
     build_jumps,
     coherence_steadiness,
     evolve,
@@ -62,30 +63,42 @@ def test_evolve_rejects_partial_final_step():
     assert traj.times[-1] == pytest.approx(0.3, abs=1e-15)
 
 
-def test_build_jumps_single_qubit_fixtures():
-    h = parse_hamiltonian("qubits 1\n1.0 -Z\n")
-    jumps = build_jumps(h)
-    _, p1, p2 = jumps.jumps[0]
-    assert (p1.label, p2.label) == ("+Z", "+Z")
-    ub = bell_frame(1)
-    lhs = ub @ np.kron(p1.matrix(), p2.matrix().conj()) @ ub.conj().T
-    assert np.abs(lhs - np.kron(np.eye(2), pauli("Z"))).max() < 1e-12
-
-    h = parse_hamiltonian("qubits 1\n1.0 +X\n")
-    _, p1, p2 = build_jumps(h).jumps[0]
-    assert (p1.label, p2.label) == ("+I", "-X")
-    lhs = ub @ np.kron(p1.matrix(), p2.matrix().conj()) @ ub.conj().T
-    assert np.abs(lhs + np.kron(np.eye(2), pauli("X"))).max() < 1e-12
-
-
 def pauli(label):
     return PauliString.from_label(label).matrix()
 
 
+def jump_pair(jumps, i=0):
+    _, ch = jumps.jumps[i]
+    (K, L), = ch.pairs
+    return K, L
+
+
+@pytest.mark.parametrize(
+    "t_max,dt", [(np.inf, 0.1), (np.nan, 0.1), (1.0, np.nan), (1.0, np.inf), (1e300, 1e-300)]
+)
+def test_evolve_rejects_non_finite_times(t_max, dt):
+    state0 = encode_state_optimal(np.full(2, 2.0**-0.5))
+    jumps = build_jumps(parse_hamiltonian(FRUSTRATED))
+    with pytest.raises(ValueError, match="finite"):
+        evolve(state0, jumps, t_max=t_max, dt=dt)
+
+
+def test_build_jumps_single_qubit_fixtures():
+    ub = bell_frame(1)
+    K, L = jump_pair(build_jumps(parse_hamiltonian("qubits 1\n1.0 -Z\n")))
+    assert np.array_equal(K, pauli("+Z")) and np.array_equal(L, pauli("+Z"))
+    lhs = ub @ np.kron(K, L.conj()) @ ub.conj().T
+    assert np.abs(lhs - np.kron(np.eye(2), pauli("Z"))).max() < 1e-12
+
+    K, L = jump_pair(build_jumps(parse_hamiltonian("qubits 1\n1.0 +X\n")))
+    assert np.array_equal(K, pauli("+I")) and np.array_equal(L, pauli("-X"))
+    lhs = ub @ np.kron(K, L.conj()) @ ub.conj().T
+    assert np.abs(lhs + np.kron(np.eye(2), pauli("X"))).max() < 1e-12
+
+
 def test_build_jumps_two_qubit_fixture():
-    h = parse_hamiltonian("qubits 2\n1.0 -XX\n")
-    _, p1, p2 = build_jumps(h).jumps[0]
-    assert (p1.label, p2.label) == ("+II", "+XX")
+    K, L = jump_pair(build_jumps(parse_hamiltonian("qubits 2\n1.0 -XX\n")))
+    assert np.array_equal(K, pauli("+II")) and np.array_equal(L, pauli("+XX"))
 
 
 def test_validate_jumps_random():
@@ -94,23 +107,95 @@ def test_validate_jumps_random():
         n = int(rng.integers(1, 4))
         h = random_ff_hamiltonian(rng, n)
         assert validate_jumps(build_jumps(h), h) < 1e-12
+    # the dense check follows cbe_operator's 4-qubit cap
     h5 = parse_hamiltonian("qubits 5\n0.7 -XYZIX\n0.3 +ZZIYY\n")
-    assert validate_jumps(build_jumps(h5), h5) < 1e-12
+    with pytest.raises(DimensionError):
+        validate_jumps(build_jumps(h5), h5)
 
 
 def test_jump_operators_are_unitary():
     h = parse_hamiltonian(BELL)
-    for _, p1, p2 in build_jumps(h).jumps:
-        d = p1.matrix().shape[0]
-        f = np.block(
-            [[p1.matrix(), np.zeros((d, d))], [np.zeros((d, d)), p2.matrix()]]
-        )
+    jumps = build_jumps(h)
+    for i in range(len(h.terms)):
+        K, L = jump_pair(jumps, i)
+        d = K.shape[0]
+        f = np.block([[K, np.zeros((d, d))], [np.zeros((d, d)), L]])
         assert np.abs(f.conj().T @ f - np.eye(2 * d)).max() < 1e-12
+
+
+# Literal jump operators, independent of the channel tables: per letter the
+# (K, L) strings with U_B (K (x) conj(L)) U_B^dag = I (x) letter, and one L
+# sign flip for a +1 term so that the product lands on -I (x) P.
+_LITERAL_JUMP = {"I": ("I", "I", 1), "X": ("I", "X", 1), "Y": ("Z", "Y", -1), "Z": ("Z", "Z", 1)}
+
+
+def literal_jump(p):
+    k = "".join(_LITERAL_JUMP[a][0] for a in p.letters)
+    l = "".join(_LITERAL_JUMP[a][1] for a in p.letters)
+    sign = np.prod([_LITERAL_JUMP[a][2] for a in p.letters]) * (-1 if p.phase == 1 else 1)
+    K = PauliString(1, k).matrix()
+    L = PauliString(int(sign), l).matrix()
+    d = K.shape[0]
+    return np.block([[K, np.zeros((d, d))], [np.zeros((d, d)), L]])
+
+
+def literal_rhs(rho, h):
+    out = np.zeros_like(rho)
+    for lam, p in h.terms:
+        F = literal_jump(p)
+        out += lam * (F @ rho @ F.conj().T - rho)
+    return out
+
+
+def random_signed_hamiltonian(rng, n):
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        letters = "".join(rng.choice(list("IXYZ"), n))
+        sign = 1 if rng.random() < 0.5 else -1
+        terms.append((float(rng.uniform(0.2, 1.5)), PauliString(sign, letters)))
+    return PauliHamiltonian(n=n, terms=tuple(terms))
+
+
+def test_rhs_and_rk4_match_literal_dense_sum():
+    rng = np.random.default_rng(17)
+    saw_non_commuting = False
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            h = random_signed_hamiltonian(rng, n)
+            mats = [p.matrix() for _, p in h.terms]
+            saw_non_commuting |= any(
+                np.abs(a @ b - b @ a).max() > 0 for a in mats for b in mats
+            )
+            ub = bell_frame(n)
+            for _, p in h.terms:  # the literal operators are the paper's jumps
+                F = literal_jump(p)
+                d = 2**n
+                lhs = ub @ np.kron(F[:d, :d], F[d:, d:].conj()) @ ub.conj().T
+                assert np.abs(lhs + np.kron(np.eye(d), p.matrix())).max() < 1e-12
+            jumps = build_jumps(h)
+            m = rng.normal(size=(2**(n + 1),) * 2) + 1j * rng.normal(size=(2**(n + 1),) * 2)
+            rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+            assert np.abs(lindblad_rhs(rho, jumps) - literal_rhs(rho, h)).max() < 1e-13
+
+            state0 = encode_state_optimal(oracle.random_statevector(n, rng))
+            dt = 0.05
+            traj = evolve(state0, jumps, t_max=0.5, dt=dt, record_every=5)
+            want = state0.rho
+            for step in range(1, 11):
+                k1 = literal_rhs(want, h)
+                k2 = literal_rhs(want + 0.5 * dt * k1, h)
+                k3 = literal_rhs(want + 0.5 * dt * k2, h)
+                k4 = literal_rhs(want + dt * k3, h)
+                want = want + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if step % 5 == 0:
+                    snap = traj.states[step // 5]
+                    assert np.abs(snap.rho - want).max() < 1e-13
+    assert saw_non_commuting
 
 
 def test_rhs_fixed_point_and_trace():
     h = parse_hamiltonian("qubits 1\n1.0 -Z\n")
-    jumps = build_jumps(h)  # P1 = P2 = Z
+    jumps = build_jumps(h)  # K = L = Z
     mixed = np.eye(4, dtype=complex) / 4
     assert np.abs(lindblad_rhs(mixed, jumps)).max() < 1e-15
 

@@ -23,6 +23,7 @@ from pauliblock.search import (
     scan_all_targets,
     x_basis_probabilities,
 )
+from pauliblock.suites import search_suite
 
 
 def _q_matrix(alpha, n):
@@ -299,3 +300,9 @@ def test_search_memory_is_linear_in_dimension():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("ns", [(), (0, 1), (3, -2)])
+def test_search_suite_rejects_empty_or_nonpositive_ns(ns):
+    with pytest.raises(ValueError, match="qubit counts n >= 1"):
+        search_suite(0, runs=2, ns=ns)
