@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import NdmeState, block_coefficients
-from .errors import ChannelError, DimensionError
+from .errors import CBE_QUBITS, ChannelError, DimensionError, check_qubits
 from .paulis import (
     CNOT,
     HADAMARD,
@@ -184,8 +184,7 @@ def cbe_operator(ch: KrausPairChannel) -> np.ndarray:
     The local sum acts on the channel's row qubits q and column qubits
     n + q and is embedded there.
     """
-    if ch.n > 4:
-        raise DimensionError("dense block-encoding operators capped at 4 qubits")
+    check_qubits(ch.n, CBE_QUBITS, "cbe_operator")
     dim = 4 ** len(ch.qubits)
     out = np.zeros((dim, dim), dtype=complex)
     for K, L in ch.pairs:

@@ -26,7 +26,7 @@ from .compiler import (
     run_program,
 )
 from .encoding import encode_state_optimal, s_from_amplitudes
-from .errors import DimensionError, ParseError, SearchFailure
+from .errors import STATE_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
     coherence_steadiness,
     coherence_values,
@@ -39,8 +39,6 @@ from .search import SearchOracle, end_to_end_search, protocol_x_distribution, sa
 from .suites import split_seeds
 
 SCHEMA_VERSION = 1
-# The desk scale of the dense amplitude pipeline and its statevector check.
-MAX_AMPLITUDE_QUBITS = 10
 SEED_RULE = "numpy SeedSequence(seed).spawn, one child per suite in report order"
 
 
@@ -80,10 +78,7 @@ def cmd_amplitude(args) -> int:
     with open(args.circuit) as fh:
         circ = parse_circuit(fh.read())
     n = circ.n
-    if n > MAX_AMPLITUDE_QUBITS:
-        raise DimensionError(
-            f"amplitude is capped at {MAX_AMPLITUDE_QUBITS} qubits, circuit has {n}"
-        )
+    check_qubits(n, STATE_QUBITS, "amplitude")
     alpha = args.alpha or "0" * n
     parse_bits(alpha, n)
     prog = compile_circuit(circ)
@@ -148,12 +143,12 @@ def cmd_lindblad(args) -> int:
     with open(args.hamiltonian) as fh:
         h = parse_hamiltonian(fh.read())
     n = h.n
+    _, e_g = oracle.ground_projector(h)
     plus = np.full(2**n, 2.0 ** (-n / 2))
     state0 = encode_state_optimal(plus)
     record_every = max(1, int(round(0.01 / args.dt)))
     traj, block_residual = ite_block_residual(state0, h, args.t_max, args.dt, record_every)
 
-    _, e_g = oracle.ground_projector(h)
     frustration_free = abs(e_g + h.rate_sum()) < 1e-9
     report = {
         "schema": SCHEMA_VERSION,
@@ -349,10 +344,13 @@ def main(argv=None) -> int:
     if args.command == "search" and not args.sweep and (args.target is None or args.n is None):
         parser.error("search needs --n and --target unless --sweep is given")
     try:
+        # a normal float keeps quotients like 0.01 / dt finite
         for option in ("tolerance", "dt"):
             value = getattr(args, option, 1.0)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"--{option} must be finite and positive, got {value}")
+            if not (np.isfinite(value) and value >= np.finfo(float).tiny):
+                raise ValueError(
+                    f"--{option} must be finite and positive, not subnormal, got {value}"
+                )
         return args.func(args)
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, EncodingError
+from .errors import STATE_QUBITS, DimensionError, EncodingError, check_qubits
 from .paulis import is_power_of_two, num_qubits
 
 NORM_SLACK = 1e-9
@@ -59,11 +59,23 @@ def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def xor_class_matrix(s: np.ndarray) -> np.ndarray:
+    """Matrix M[j, k] = s[j ^ k], that is sum_delta s_delta Q_delta."""
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    return s[_xor_grid(num_qubits(s.size))]
+
+
+def xor_class_sums(B: np.ndarray) -> np.ndarray:
+    """XOR-class sums s[delta] = sum_j B[j, j ^ delta] = Tr(Q_delta B) of a square matrix."""
+    B = np.asarray(B, dtype=complex)
+    n = num_qubits(B.shape[0])
+    return B[np.arange(2**n)[None, :], _xor_grid(n)].sum(axis=1)
+
+
 def sector_matrix(coeffs: np.ndarray) -> np.ndarray:
     """Matrix 2^(-n/2) sum_alpha coeffs_alpha Q_alpha (no norm requirement)."""
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
-    n = num_qubits(coeffs.size)
-    return coeffs[_xor_grid(n)] * 2.0 ** (-n / 2)
+    return xor_class_matrix(coeffs) * 2.0 ** (-num_qubits(coeffs.size) / 2)
 
 
 def s_from_amplitudes(c) -> np.ndarray:
@@ -73,21 +85,14 @@ def s_from_amplitudes(c) -> np.ndarray:
 
 def block_coefficients(B: np.ndarray) -> np.ndarray:
     """Raw {I, X}-sector coefficients 2^(-n/2) Tr(Q_alpha B) of a block matrix."""
-    B = np.asarray(B, dtype=complex)
-    n = num_qubits(B.shape[0])
-    idx = np.arange(2**n)
-    # Tr(Q_alpha B) = sum_j B[j, j ^ alpha]
-    traces = B[idx[None, :], idx[None, :] ^ idx[:, None]].sum(axis=1)
-    return traces * 2.0 ** (-n / 2)
+    traces = xor_class_sums(B)
+    return traces * 2.0 ** (-num_qubits(traces.size) / 2)
 
 
 def pqc_decode(S: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     """Amplitudes of a carrier matrix; rejects support outside the {I, X} sector."""
-    S = np.asarray(S, dtype=complex)
-    n = num_qubits(S.shape[0])
     c = block_coefficients(S)
-    rebuilt = c[_xor_grid(n)] * 2.0 ** (-n / 2)
-    resid = np.abs(S - rebuilt).max()
+    resid = np.abs(np.asarray(S, dtype=complex) - sector_matrix(c)).max()
     if resid > atol:
         raise EncodingError(
             f"matrix has weight {resid:.3e} outside the I/X Pauli sector"
@@ -134,6 +139,7 @@ def encode_state_optimal(c) -> NdmeState:
     """
     c = check_amplitudes(c)
     n = num_qubits(c.size)
+    check_qubits(n, STATE_QUBITS, "encode_state_optimal")
     dim = c.size
     chi = hadamard_transform(c)
     mag = np.abs(chi)
@@ -170,9 +176,7 @@ def validate_ndme(state: NdmeState) -> dict:
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
     block = state.block()
     b = block_coefficients(block)
-    n = state.n
-    rebuilt = b[_xor_grid(n)] * 2.0 ** (-n / 2)
-    sector = np.abs(block - rebuilt).max()
+    sector = np.abs(block - sector_matrix(b)).max()
     gamma_resid = abs(np.linalg.norm(b) - state.gamma)
     norm_b = np.linalg.norm(b)
     if norm_b > 0:

@@ -1,8 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types, the size policy and the header reader shared across the package."""
 
 
 class DimensionError(ValueError):
     """Matrix or vector dimensions are not the expected powers of two."""
+
+
+# Size policy: the largest qubit count each kind of allocation accepts.
+STATE_QUBITS = 10  # dense (1+n)-qubit density matrices, 64 MB at n = 10
+VECTOR_QUBITS = 20  # length-2^n vectors: search class sums, statevectors
+REFERENCE_QUBITS = 6  # dense brute-force references (ITE, Bell frame, eigensolves)
+OPERATOR_QUBITS = 8  # dense n-qubit operators: circuit unitaries, Pauli decompositions
+CBE_QUBITS = 4  # dense block-encoding operators on 2n qubits
+KRAUS_SUM_QUBITS = 3  # the search oracle's literal 4^n-term Kraus sum
+SCAN_QUBITS = 4  # exhaustive readout over all 2^n candidate targets
+MAX_STEPS = 10**6  # RK4 steps in one Lindblad run
+MAX_SNAPSHOT_BYTES = 1 << 30  # snapshots one Lindblad run keeps
+
+
+def check_qubits(n: int, cap: int, what: str) -> None:
+    """DimensionError unless n <= cap; call before allocating anything of size n."""
+    if n > cap:
+        raise DimensionError(f"{what} is capped at {cap} qubits, got {n}")
 
 
 class EncodingError(ValueError):

@@ -21,7 +21,16 @@ import numpy as np
 from . import oracle
 from .channels import conjugate_pairs, pauli_channel, verify_po
 from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix
-from .errors import DimensionError, IntegratorError, ParseError, read_qubit_text
+from .errors import (
+    MAX_SNAPSHOT_BYTES,
+    MAX_STEPS,
+    REFERENCE_QUBITS,
+    DimensionError,
+    IntegratorError,
+    ParseError,
+    check_qubits,
+    read_qubit_text,
+)
 from .paulis import PauliString, X, num_qubits
 
 # Classical RK4 is stable on the negative real axis down to about -2.785.
@@ -103,7 +112,7 @@ def build_jumps(h: PauliHamiltonian) -> JumpSet:
 def validate_jumps(jumps: JumpSet, h: PauliHamiltonian) -> float:
     """Max residual of the block-encoding identity of -P_i over all jumps.
 
-    The check is dense (verify_po), so like cbe_operator it refuses n > 4
+    The check is dense (verify_po), so like cbe_operator it refuses n > CBE_QUBITS
     with DimensionError.
     """
     return max(
@@ -142,7 +151,9 @@ def evolve(
     dt, t_max and their ratio must be finite, and t_max a whole number of
     steps (to a relative 1e-9), so the trajectory ends exactly at t_max.
     Snapshots are recorded every record_every steps (plus start and end).
-    Trace drift beyond 1e-6 aborts with IntegratorError.
+    A run of more than MAX_STEPS steps, or whose snapshots would hold more
+    than MAX_SNAPSHOT_BYTES, is refused with ValueError before its first
+    step.  Trace drift beyond 1e-6 aborts with IntegratorError.
 
     Every jump is a Hermitian unitary, so the dissipator's spectrum lies in
     [-2 sum lambda, 0]; a step with 2 dt sum lambda beyond RK4's real-axis
@@ -160,6 +171,11 @@ def evolve(
     steps = int(round(t_max / dt))
     if abs(t_max / dt - steps) > 1e-9 * (t_max / dt):
         raise ValueError(f"t_max={t_max} is not a whole number of steps of dt={dt}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"a run is capped at {MAX_STEPS} steps, got {steps}")
+    kept = (1 + -(-steps // record_every)) * 16 * 4 ** (jumps.n + 1)  # complex snapshots
+    if kept > MAX_SNAPSHOT_BYTES:
+        raise ValueError(f"snapshots are capped at {MAX_SNAPSHOT_BYTES} bytes, got {kept}")
     rate_sum = jumps.rate_sum()
     if 2.0 * dt * rate_sum > RK4_STABILITY_LIMIT:
         raise ValueError(
@@ -198,8 +214,7 @@ def ite_reference(psi0, h: PauliHamiltonian, t: float) -> np.ndarray:
     n = num_qubits(psi0.size)
     if n != h.n:
         raise DimensionError("state and Hamiltonian disagree on qubit count")
-    if n > 6:
-        raise DimensionError("dense propagator capped at 6 qubits")
+    check_qubits(n, REFERENCE_QUBITS, "ite_reference")
     generator = h.matrix() + h.rate_sum() * np.eye(2**n)
     return oracle.herm_exp(generator, t) @ psi0
 

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import OPERATOR_QUBITS, REFERENCE_QUBITS, VECTOR_QUBITS, DimensionError, check_qubits
 from .paulis import num_qubits
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
 _T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
 _SINGLE = {"H": _H, "S": _S, "T": _T}
-
-MAX_QUBITS = 12
 
 
 def _apply_single(psi: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -41,8 +39,7 @@ def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> np.ndarra
 def simulate(circuit, input_state=None) -> np.ndarray:
     """Run a {H, S, T, CNOT} circuit on a statevector (default |0...0>)."""
     n = circuit.n
-    if n > MAX_QUBITS:
-        raise DimensionError(f"statevector simulation capped at {MAX_QUBITS} qubits")
+    check_qubits(n, VECTOR_QUBITS, "simulate")
     if input_state is None:
         psi = np.zeros(2**n, dtype=complex)
         psi[0] = 1.0
@@ -61,8 +58,7 @@ def simulate(circuit, input_state=None) -> np.ndarray:
 def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of a circuit, built column by column from basis states."""
     n = circuit.n
-    if n > 8:
-        raise DimensionError("dense circuit unitaries capped at 8 qubits")
+    check_qubits(n, OPERATOR_QUBITS, "circuit_unitary")
     dim = 2**n
     U = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
@@ -79,10 +75,13 @@ def amplitude_plus_u_zero(circuit) -> complex:
 
 
 def herm_exp(Hm: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t Hm) for Hermitian Hm via eigendecomposition."""
+    """exp(-t Hm) for Hermitian Hm via eigendecomposition.
+
+    Any square Hm is accepted up to dimension 2^REFERENCE_QUBITS; its size in
+    qubits is ceil(log2(dim)) = (dim - 1).bit_length().
+    """
     Hm = np.asarray(Hm, dtype=complex)
-    if Hm.shape[0] > 64:
-        raise DimensionError("herm_exp capped at dimension 64")
+    check_qubits((len(Hm) - 1).bit_length(), REFERENCE_QUBITS, "herm_exp")
     if np.abs(Hm - Hm.conj().T).max() > 1e-10:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(Hm)
@@ -92,13 +91,15 @@ def herm_exp(Hm: np.ndarray, t: float) -> np.ndarray:
 def ground_projector(h):
     """Projector onto the lowest eigenspace of a Pauli Hamiltonian.
 
-    Accepts either a dense Hermitian matrix or an object with a .matrix()
-    method.  Eigenvalues within 1e-9 of the minimum count as ground.
+    Accepts either a dense Hermitian matrix or an object with .n and a
+    .matrix() method; the size is checked before the matrix is built.
+    Eigenvalues within 1e-9 of the minimum count as ground.
     Returns (projector, ground energy).
     """
-    Hm = h.matrix() if hasattr(h, "matrix") else np.asarray(h, dtype=complex)
-    if Hm.shape[0] > 64:
-        raise DimensionError("ground_projector capped at dimension 64")
+    dense = not hasattr(h, "matrix")
+    n = (len(h) - 1).bit_length() if dense else h.n
+    check_qubits(n, REFERENCE_QUBITS, "ground_projector")
+    Hm = np.asarray(h, dtype=complex) if dense else h.matrix()
     w, v = np.linalg.eigh(Hm)
     e0 = float(w[0])
     cols = v[:, w <= e0 + 1e-9]

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import OPERATOR_QUBITS, REFERENCE_QUBITS, DimensionError, check_qubits
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,8 +193,7 @@ def pauli_decompose(O: np.ndarray, drop_tol: float = 1e-14) -> dict:
     """
     O = np.asarray(O, dtype=complex)
     n = num_qubits(O.shape[0])
-    if n > 8:
-        raise DimensionError("pauli_decompose supports at most 8 qubits")
+    check_qubits(n, OPERATOR_QUBITS, "pauli_decompose")
     coeffs = {}
     scale = 1.0 / O.shape[0]
     for letters in product("IXYZ", repeat=n):
@@ -233,8 +232,7 @@ def bell_frame(n: int) -> np.ndarray:
 
     Pair j couples row-space qubit j with column-space qubit n + j.
     """
-    if n > 6:
-        raise DimensionError("bell_frame supports at most 6 logical qubits")
+    check_qubits(n, REFERENCE_QUBITS, "bell_frame")
     ub = bell_matrix()
     out = np.eye(4**n, dtype=complex)
     for j in range(n):

@@ -22,12 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import block_coefficients, hadamard_transform
-from .errors import DimensionError, SearchFailure
+from .encoding import block_coefficients, hadamard_transform, xor_class_matrix, xor_class_sums
+from .errors import (
+    KRAUS_SUM_QUBITS,
+    SCAN_QUBITS,
+    STATE_QUBITS,
+    VECTOR_QUBITS,
+    DimensionError,
+    SearchFailure,
+    check_qubits,
+)
 from .paulis import bits_to_index, parse_bits
 
 ORACLE_ETA = 1.0 / 3.0
-MAX_SEARCH_QUBITS = 10
 
 
 @dataclass(frozen=True)
@@ -37,8 +44,7 @@ class SearchOracle:
     eta: float = ORACLE_ETA
 
     def __post_init__(self):
-        if self.n > MAX_SEARCH_QUBITS:
-            raise DimensionError(f"search capped at {MAX_SEARCH_QUBITS} qubits")
+        check_qubits(self.n, VECTOR_QUBITS, "search")
         object.__setattr__(self, "target", parse_bits(self.target, self.n))
 
     @property
@@ -46,19 +52,9 @@ class SearchOracle:
         return bits_to_index(self.target)
 
 
-def _class_sums(rho: np.ndarray, d: int) -> np.ndarray:
-    """Block class sums s[a, b, delta] of a dense (2d, 2d) matrix."""
-    idx = np.arange(d)
-    grid = idx[:, None] ^ idx[None, :]
-    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
-    return np.array([[B[idx[None, :], grid].sum(axis=1) for B in row] for row in blocks])
-
-
-def _expand(s: np.ndarray, d: int) -> np.ndarray:
+def _expand(s: np.ndarray) -> np.ndarray:
     """The dense matrix with blocks B_ab[j, k] = s[a, b, j ^ k] / d."""
-    idx = np.arange(d)
-    grid = idx[:, None] ^ idx[None, :]
-    return np.block([[c[grid] for c in row] for row in s / d])
+    return np.block([[xor_class_matrix(c) for c in row] for row in s / s.shape[2]])
 
 
 def _oracle_sums(s: np.ndarray, xi: int) -> np.ndarray:
@@ -77,18 +73,20 @@ def _oracle_sums(s: np.ndarray, xi: int) -> np.ndarray:
 
 def oracle_apply(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
     """Structured fast path for one oracle application, O(4^n) work."""
+    check_qubits(oracle.n, STATE_QUBITS, "oracle_apply")
     rho = np.asarray(rho, dtype=complex)
     d = 2**oracle.n
     if rho.shape != (2 * d, 2 * d):
         raise DimensionError(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
-    return _expand(_oracle_sums(_class_sums(rho, d), oracle.target_index), d)
+    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
+    s = np.array([[xor_class_sums(B) for B in row] for row in blocks])
+    return _expand(_oracle_sums(s, oracle.target_index))
 
 
 def oracle_apply_kraus(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
-    """Literal Kraus-sum evaluation (test oracle for the fast path), n <= 3."""
+    """Literal Kraus-sum evaluation (test oracle for the fast path), n <= KRAUS_SUM_QUBITS."""
     n = oracle.n
-    if n > 3:
-        raise DimensionError("literal Kraus application capped at 3 qubits")
+    check_qubits(n, KRAUS_SUM_QUBITS, "oracle_apply_kraus")
     rho = np.asarray(rho, dtype=complex)
     d = 2**n
     xi = oracle.target_index
@@ -129,11 +127,13 @@ def _protocol_sums(oracle: SearchOracle) -> np.ndarray:
 
 def run_protocol(oracle: SearchOracle) -> np.ndarray:
     """Output density matrix after one controlled oracle query."""
-    return _expand(_protocol_sums(oracle), 2**oracle.n)
+    check_qubits(oracle.n, STATE_QUBITS, "run_protocol")
+    return _expand(_protocol_sums(oracle))
 
 
 def rho_out_closed_form(n: int, x) -> np.ndarray:
     """The protocol output assembled directly from its block structure."""
+    check_qubits(n, STATE_QUBITS, "rho_out_closed_form")
     bits = parse_bits(x, n)
     d = 2**n
     plus = np.full((d, d), 1.0 / d, dtype=complex)
@@ -273,10 +273,9 @@ def scan_all_targets(outcomes: np.ndarray, n: int) -> np.ndarray:
     The parity statistic of the planted string concentrates at +1/2 while
     every other candidate concentrates at 0, so the argmax identifies the
     target from O(1) samples at the price of 2^n postprocessing.
-    Test-scale only (n <= 4).
+    Test-scale only (n <= SCAN_QUBITS).
     """
-    if n > 4:
-        raise DimensionError("exhaustive scan capped at 4 qubits")
+    check_qubits(n, SCAN_QUBITS, "scan_all_targets")
     outcomes = np.asarray(outcomes, dtype=np.uint8)
     candidates = _indices_to_bits(np.arange(2**n), n)
     parity = (outcomes[:, :1] + outcomes[:, 1:] @ candidates.T) % 2

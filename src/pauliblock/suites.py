@@ -22,6 +22,7 @@ from .encoding import (
     ndme_block,
     s_from_amplitudes,
 )
+from .errors import VECTOR_QUBITS, check_qubits
 from .lindblad import (
     PauliHamiltonian,
     build_jumps,
@@ -445,6 +446,7 @@ def search_suite(seed, runs: int = 200, ns=(3, 4, 5, 6, 7, 8)) -> dict:
         raise ValueError(f"search_suite needs runs >= 2, got {runs}")
     if not ns or min(ns) < 1:
         raise ValueError(f"search_suite needs one or more qubit counts n >= 1, got {list(ns)}")
+    check_qubits(max(ns), VECTOR_QUBITS, "search")
     child_seeds = split_seeds(seed, len(ns))
     per_n = []
     for n, child in zip(ns, child_seeds):

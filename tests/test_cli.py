@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pauliblock import cli, suites
 from pauliblock.compiler import compile_circuit, parse_circuit, run_program
 from pauliblock.encoding import encode_state_optimal
+from pauliblock.errors import STATE_QUBITS
 from pauliblock.lindblad import build_jumps, coherence_values, evolve, parse_hamiltonian
 from pauliblock.measure import amplitude_via_pauli
 from pauliblock.paulis import PauliString, X, Y
@@ -272,7 +274,7 @@ def test_amplitude_oversize_circuit_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(["amplitude", "--circuit", str(path)], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
-    assert str(cli.MAX_AMPLITUDE_QUBITS) in err
+    assert str(STATE_QUBITS) in err
 
 
 def test_amplitude_reports_measured_traces(tmp_path, capsys):
@@ -449,3 +451,48 @@ def test_trajectory_csv_coherence_column_is_coherence_values(tmp_path, capsys):
     want = coherence_values(traj, cli._ground_coherence_matrix(h))
     column = [line.split(",")[3] for line in traj_csv.read_text().splitlines()[1:]]
     assert column == [repr(float(v.real)) for v in want]
+
+
+OVERSIZED = [
+    ("lindblad", "qubits 7\n1.0 -ZZZZZZZ\n", []),
+    ("lindblad", "qubits 20\n1.0 -" + "Z" * 20 + "\n", []),
+    ("lindblad", FRUSTRATED, ["--t-max", "1e6", "--dt", "1e-6"]),
+    ("lindblad", FRUSTRATED, ["--dt", "1e-320"]),
+    ("amplitude", "qubits 11\nH 0\n", []),
+    ("search", None, ["--n", "21", "--target", "1" * 21]),
+    ("search", None, ["--sweep", "3:21"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,text,extra",
+    OVERSIZED,
+    ids=[
+        "lindblad-7-qubits",
+        "lindblad-20-qubits",
+        "lindblad-10^12-steps",
+        "lindblad-subnormal-dt",
+        "amplitude-11-qubits",
+        "search-n-21",
+        "search-sweep-3-21",
+    ],
+)
+def test_oversized_input_is_refused_before_any_work(tmp_path, capsys, command, text, extra):
+    argv = [command]
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv += ["--hamiltonian" if command == "lindblad" else "--circuit", str(path)]
+    started = time.perf_counter()
+    code, out, err = run_cli(argv + extra, capsys)
+    elapsed = time.perf_counter() - started
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert elapsed < 1.0
+
+
+def test_search_runs_at_the_vector_cap(capsys):
+    target = "10110011100011110000"
+    code, out, _ = run_cli(["search", "--n", "20", "--target", target, "--shots", "100"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["found"] == target and report["pass"] is True

@@ -10,9 +10,12 @@ from pauliblock.encoding import (
     ndme_block,
     pqc_decode,
     s_from_amplitudes,
+    sector_matrix,
     validate_ndme,
+    xor_class_matrix,
+    xor_class_sums,
 )
-from pauliblock.errors import DimensionError, EncodingError
+from pauliblock.errors import STATE_QUBITS, DimensionError, EncodingError
 from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, I2, PauliString, X, Z, kron_all
 
@@ -91,6 +94,28 @@ def test_pqc_decode_fixtures_and_roundtrip():
 def test_pqc_decode_rejects_other_sectors():
     with pytest.raises(EncodingError):
         pqc_decode(Z.astype(complex))
+
+
+def test_xor_class_pair_against_pauli_strings():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        d = 2**n
+        s = rng.normal(size=d) + 1j * rng.normal(size=d)
+        B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        strings = [PauliString.from_bits(format(a, f"0{n}b")).matrix() for a in range(d)]
+        literal = sum(s_a * q for s_a, q in zip(s, strings))
+        assert np.abs(xor_class_matrix(s) - literal).max() < 1e-12
+        traces = np.array([np.trace(q @ B) for q in strings])
+        assert np.abs(xor_class_sums(B) - traces).max() < 1e-12
+        # the scaled pair is the unscaled one times 2^(-n/2)
+        assert np.array_equal(sector_matrix(s), xor_class_matrix(s) * 2.0 ** (-n / 2))
+        assert np.array_equal(block_coefficients(B), xor_class_sums(B) * 2.0 ** (-n / 2))
+
+
+def test_encode_refuses_beyond_the_state_cap():
+    n = STATE_QUBITS + 1
+    with pytest.raises(DimensionError, match="capped at"):
+        encode_state_optimal(_plus_state(n))
 
 
 def test_sector_diagonal_in_hadamard_frame():

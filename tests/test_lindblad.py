@@ -10,7 +10,13 @@ from pauliblock.encoding import (
     s_from_amplitudes,
     sector_matrix,
 )
-from pauliblock.errors import DimensionError, IntegratorError, ParseError
+from pauliblock.errors import (
+    MAX_SNAPSHOT_BYTES,
+    MAX_STEPS,
+    DimensionError,
+    IntegratorError,
+    ParseError,
+)
 from pauliblock.lindblad import (
     JumpSet,
     PauliHamiltonian,
@@ -365,3 +371,21 @@ def test_ground_space_dimension_counts_generators():
         proj, energy = oracle.ground_projector(h)
         assert abs(energy + h.rate_sum()) < 1e-9
         assert np.trace(proj).real == pytest.approx(2 ** (n - len(h.terms)), abs=1e-9)
+
+
+def test_evolve_refuses_runs_beyond_the_step_cap():
+    state0 = encode_state_optimal(np.full(2, 2.0**-0.5))
+    jumps = build_jumps(parse_hamiltonian(FRUSTRATED))
+    dt = 1e-3
+    with pytest.raises(ValueError, match=f"capped at {MAX_STEPS} steps"):
+        evolve(state0, jumps, t_max=(MAX_STEPS + 1) * dt, dt=dt)
+
+
+def test_evolve_refuses_snapshots_beyond_the_memory_cap():
+    # n = 6 snapshots hold 16 * 4^7 bytes each; 5001 of them exceed 1 GiB
+    n = 6
+    state0 = encode_state_optimal(np.full(2**n, 2.0 ** (-n / 2)))
+    jumps = build_jumps(parse_hamiltonian(f"qubits {n}\n1.0 -{'Z' * n}\n"))
+    assert 5001 * 16 * 4 ** (n + 1) > MAX_SNAPSHOT_BYTES
+    with pytest.raises(ValueError, match="snapshots are capped"):
+        evolve(state0, jumps, t_max=5.0, dt=1e-3, record_every=1)

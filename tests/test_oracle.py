@@ -3,7 +3,7 @@ import pytest
 
 from pauliblock import oracle
 from pauliblock.compiler import Circuit, parse_circuit
-from pauliblock.errors import DimensionError
+from pauliblock.errors import VECTOR_QUBITS, DimensionError
 from pauliblock.lindblad import PauliHamiltonian, parse_hamiltonian
 from pauliblock.paulis import Z, bell_matrix
 
@@ -90,6 +90,6 @@ def test_ground_projector_idempotent_and_commuting():
 
 def test_size_guards():
     with pytest.raises(DimensionError):
-        oracle.simulate(Circuit(n=13, gates=()))
+        oracle.simulate(Circuit(n=VECTOR_QUBITS + 1, gates=()))
     with pytest.raises(DimensionError):
         oracle.herm_exp(np.eye(128), 1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pauliblock.errors import SearchFailure
+from pauliblock.errors import VECTOR_QUBITS, SearchFailure
 from pauliblock.paulis import HADAMARD, PauliString, X, kron_all
 from pauliblock.search import (
     SearchOracle,
@@ -203,11 +203,11 @@ def test_scan_all_targets_recovers_plant():
 
 def test_oracle_size_guard():
     with pytest.raises(Exception):
-        SearchOracle(n=11, target=[0] * 11)
+        SearchOracle(n=VECTOR_QUBITS + 1, target=[0] * (VECTOR_QUBITS + 1))
 
 
 def test_search_at_desk_scale_cap():
-    # the search still runs at the 10-qubit cap of SearchOracle
+    # the search still runs at 10 qubits, the cap of the dense pipelines
     found, stats = end_to_end_search(10, "1011001110", seed=123)
     assert np.array_equal(found, [1, 0, 1, 1, 0, 0, 1, 1, 1, 0])
     assert stats["oracle_queries"] >= 20
