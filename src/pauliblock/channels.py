@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import NdmeState, block_coefficients
+from .encoding import NdmeState, state_from_rho
 from .errors import CBE_QUBITS, ChannelError, DimensionError, check_qubits
 from .paulis import (
     CNOT,
@@ -172,10 +172,7 @@ def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
     """
     if state.n != ch.n:
         raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
-    d = 2**ch.n
-    out = conjugate_pairs(state.rho, np.array(ch.pairs), ch.qubits)
-    gamma = float(np.linalg.norm(block_coefficients(out[:d, d:])))
-    return NdmeState(n=state.n, rho=out, gamma=gamma)
+    return state_from_rho(conjugate_pairs(state.rho, np.array(ch.pairs), ch.qubits))
 
 
 def cbe_operator(ch: KrausPairChannel) -> np.ndarray:

@@ -34,7 +34,7 @@ from .lindblad import (
     parse_hamiltonian,
 )
 from .measure import MeasurementRecord, amplitude_from_traces, assistant_traces
-from .paulis import HADAMARD, kron_all, parse_bits
+from .paulis import parse_bits
 from .search import SearchOracle, end_to_end_search, protocol_x_distribution, sample_outcomes
 from .suites import split_seeds
 
@@ -87,8 +87,7 @@ def cmd_amplitude(args) -> int:
     trace_x, trace_y = assistant_traces(out, alpha)
     amp = amplitude_from_traces(out, (trace_x, trace_y))
 
-    psi = oracle.simulate(circ)
-    want = (kron_all([HADAMARD] * n) @ psi)[int(alpha, 2)]
+    want = oracle.amplitude_plus_u_zero(circ, int(alpha, 2))
     residual = abs(amp - want)
 
     records = [
@@ -125,9 +124,10 @@ def cmd_amplitude(args) -> int:
     return 0 if ok else 1
 
 
-def _ground_coherence_matrix(h):
-    """A real ground-space amplitude vector as a carrier matrix, if one exists."""
-    proj, _ = oracle.ground_projector(h)
+def _ground_coherence_matrix(h, proj=None):
+    """A real vector in h's ground space (projector proj, found if None) as a carrier matrix."""
+    if proj is None:
+        proj, _ = oracle.ground_projector(h)
     for j in range(proj.shape[0]):
         w = proj[:, j].real
         norm = np.linalg.norm(w)
@@ -143,7 +143,7 @@ def cmd_lindblad(args) -> int:
     with open(args.hamiltonian) as fh:
         h = parse_hamiltonian(fh.read())
     n = h.n
-    _, e_g = oracle.ground_projector(h)
+    proj, e_g = oracle.ground_projector(h)
     plus = np.full(2**n, 2.0 ** (-n / 2))
     state0 = encode_state_optimal(plus)
     record_every = max(1, int(round(0.01 / args.dt)))
@@ -166,7 +166,7 @@ def cmd_lindblad(args) -> int:
         "dt_audit_ratio": None,
     }
     ok = block_residual < args.tolerance
-    coherence = _ground_coherence_matrix(h) if frustration_free else None
+    coherence = _ground_coherence_matrix(h, proj) if frustration_free else None
     if coherence is not None:
         steadiness = coherence_steadiness(traj, coherence)
         report["steadiness_max_derivative"] = steadiness
@@ -219,6 +219,10 @@ def cmd_search(args) -> int:
     target = args.target
     parse_bits(target, args.n)
     run_seed, calib_seed = split_seeds(args.seed, 2)
+    # acceptance estimated on a calibration batch of --shots draws, drawn
+    # first so that a bad --shots is refused before the search runs
+    probs = protocol_x_distribution(SearchOracle(n=args.n, target=target))
+    batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     try:
         found, stats = end_to_end_search(args.n, target, seed=run_seed)
     except SearchFailure as exc:
@@ -236,9 +240,6 @@ def cmd_search(args) -> int:
         return 1
     found_str = "".join(str(int(b)) for b in found)
     ok = found_str == target
-    # acceptance estimated on a dedicated calibration batch of --shots draws
-    probs = protocol_x_distribution(SearchOracle(n=args.n, target=target))
-    batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     report = {
         "schema": SCHEMA_VERSION,
         "command": "search",

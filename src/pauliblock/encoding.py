@@ -65,6 +65,17 @@ def xor_class_matrix(s: np.ndarray) -> np.ndarray:
     return s[_xor_grid(num_qubits(s.size))]
 
 
+def xor_class_blocks(s: np.ndarray) -> np.ndarray:
+    """Matrix with blocks B_ab[j, k] = s[a, b, j ^ k], unscaled like xor_class_matrix."""
+    s = np.asarray(s, dtype=complex)
+    d = s.shape[2]
+    grid = _xor_grid(num_qubits(d))
+    out = np.empty((2, d, 2, d), dtype=complex)
+    for a, b in np.ndindex(2, 2):  # block by block, so the result is the one full-size array
+        out[a, :, b] = s[a, b][grid]
+    return out.reshape(2 * d, 2 * d)
+
+
 def xor_class_sums(B: np.ndarray) -> np.ndarray:
     """XOR-class sums s[delta] = sum_j B[j, j ^ delta] = Tr(Q_delta B) of a square matrix."""
     B = np.asarray(B, dtype=complex)
@@ -123,6 +134,13 @@ class NdmeState:
         return ndme_block(self.rho)
 
 
+def state_from_rho(rho: np.ndarray) -> NdmeState:
+    """The NdmeState of a (1+n)-qubit rho; gamma is the l2 norm of its block coefficients."""
+    d = rho.shape[0] // 2
+    gamma = float(np.linalg.norm(block_coefficients(rho[:d, d:])))
+    return NdmeState(n=num_qubits(d), rho=rho, gamma=gamma)
+
+
 def gamma_upper_bound(c) -> float:
     """Largest encoding factor achievable for the given amplitudes."""
     c = check_amplitudes(c)
@@ -133,32 +151,24 @@ def gamma_upper_bound(c) -> float:
 def encode_state_optimal(c) -> NdmeState:
     """Encode amplitudes at the largest achievable gamma.
 
-    Builds the mixture rho = sum_beta q_beta |phi_beta><phi_beta| with
-    q_beta proportional to |chi_beta|, chi the Hadamard transform of c, and
-    phi_beta = (|0> + e^{-i arg chi_beta} |1>)/sqrt(2) (x) H^n |beta>.
+    The mixture sum_beta q_beta |phi_beta><phi_beta| with q_beta proportional
+    to |chi_beta|, chi = H^n c, and phi_beta = (|0> + e^{-i arg chi_beta} |1>)
+    / sqrt(2) (x) H^n |beta> is XOR-class constant in each block, so it is
+    written as gamma [[D, S], [S^dag, D]] with S = sector_matrix(c) and
+    D = sector_matrix(H^n |chi|).
     """
     c = check_amplitudes(c)
     n = num_qubits(c.size)
     check_qubits(n, STATE_QUBITS, "encode_state_optimal")
-    dim = c.size
     chi = hadamard_transform(c)
     mag = np.abs(chi)
     total = mag.sum()
     if total <= 0.0:  # impossible for unit norm, guards divide-by-zero
         raise EncodingError("all Hadamard-transform coefficients vanish")
     gamma = 1.0 / (2.0 * total)
-    q = mag / total
-    keep = mag > 1e-15 * total
-    phase = np.ones(dim, dtype=complex)
-    phase[keep] = np.exp(-1j * np.angle(chi[keep]))
-    # Columns of the Hadamard matrix are the states H^n |beta>.
-    h_cols = hadamard_transform(np.eye(dim), axis=0)
-    amp = np.sqrt(q / 2.0)
-    top = h_cols * amp[None, :]
-    bottom = h_cols * (amp * phase)[None, :]
-    psi = np.vstack([top, bottom])  # column beta is sqrt(q_beta) phi_beta
-    rho = psi @ psi.conj().T
-    return NdmeState(n=n, rho=rho, gamma=gamma)
+    diag = hadamard_transform(mag)
+    sums = gamma * 2.0 ** (-n / 2) * np.array([[diag, c], [c.conj(), diag]])
+    return NdmeState(n=n, rho=xor_class_blocks(sums), gamma=gamma)
 
 
 def decode_state(state: NdmeState, atol: float = 1e-12) -> np.ndarray:
@@ -177,8 +187,8 @@ def validate_ndme(state: NdmeState) -> dict:
     block = state.block()
     b = block_coefficients(block)
     sector = np.abs(block - sector_matrix(b)).max()
-    gamma_resid = abs(np.linalg.norm(b) - state.gamma)
     norm_b = np.linalg.norm(b)
+    gamma_resid = abs(norm_b - state.gamma)
     if norm_b > 0:
         bound_slack = state.gamma - gamma_upper_bound(b / norm_b)
     else:

@@ -5,7 +5,7 @@ class DimensionError(ValueError):
     """Matrix or vector dimensions are not the expected powers of two."""
 
 
-# Size policy: the largest qubit count each kind of allocation accepts.
+# Size policy: the largest size each kind of allocation accepts.
 STATE_QUBITS = 10  # dense (1+n)-qubit density matrices, 64 MB at n = 10
 VECTOR_QUBITS = 20  # length-2^n vectors: search class sums, statevectors
 REFERENCE_QUBITS = 6  # dense brute-force references (ITE, Bell frame, eigensolves)
@@ -13,14 +13,16 @@ OPERATOR_QUBITS = 8  # dense n-qubit operators: circuit unitaries, Pauli decompo
 CBE_QUBITS = 4  # dense block-encoding operators on 2n qubits
 KRAUS_SUM_QUBITS = 3  # the search oracle's literal 4^n-term Kraus sum
 SCAN_QUBITS = 4  # exhaustive readout over all 2^n candidate targets
+SWAP_QUBITS = 4  # the swap trace's three dense 16^(n+1)-entry operators
+MAX_SHOTS = 10**6  # finite-shot draws in one call, about 42 MB of outcomes at n = 3
 MAX_STEPS = 10**6  # RK4 steps in one Lindblad run
 MAX_SNAPSHOT_BYTES = 1 << 30  # snapshots one Lindblad run keeps
 
 
-def check_qubits(n: int, cap: int, what: str) -> None:
+def check_qubits(n: int, cap: int, what: str, unit: str = "qubits") -> None:
     """DimensionError unless n <= cap; call before allocating anything of size n."""
     if n > cap:
-        raise DimensionError(f"{what} is capped at {cap} qubits, got {n}")
+        raise DimensionError(f"{what} is capped at {cap} {unit}, got {n}")
 
 
 class EncodingError(ValueError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle
 from .channels import conjugate_pairs, pauli_channel, verify_po
-from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix
+from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix, state_from_rho
 from .errors import (
     MAX_SNAPSHOT_BYTES,
     MAX_STEPS,
@@ -31,7 +31,7 @@ from .errors import (
     check_qubits,
     read_qubit_text,
 )
-from .paulis import PauliString, X, num_qubits
+from .paulis import PauliString, num_qubits
 
 # Classical RK4 is stable on the negative real axis down to about -2.785.
 RK4_STABILITY_LIMIT = 2.785
@@ -198,11 +198,9 @@ def evolve(
         if drift > 1e-6:
             raise IntegratorError(f"trace drifted by {drift:.3e} at step {step}")
         if step % record_every == 0 or step == steps:
-            block = rho[:d, d:]
-            gamma = float(np.linalg.norm(block_coefficients(block)))
             times.append(step * dt)
-            states.append(NdmeState(n=jumps.n, rho=rho.copy(), gamma=gamma))
-            norms.append(float(np.linalg.norm(block)))
+            states.append(state_from_rho(rho.copy()))
+            norms.append(float(np.linalg.norm(rho[:d, d:])))
     return Trajectory(
         times=np.array(times), states=states, block_norms=np.array(norms)
     )
@@ -237,9 +235,10 @@ def ite_block_residual(
 
 
 def coherence_values(trajectory: Trajectory, O: np.ndarray) -> np.ndarray:
-    """Tr(rho_t (X (x) O)) at every recorded snapshot of the trajectory."""
-    observable = np.kron(X, np.asarray(O, dtype=complex))
-    return np.array([np.trace(observable @ s.rho) for s in trajectory.states])
+    """Tr(rho_t (X (x) O)), the entrywise sum of (rho_01 + rho_10) * O^T, at every snapshot."""
+    O_t = np.asarray(O, dtype=complex).T
+    d = len(O_t)
+    return np.array([((s.rho[:d, d:] + s.rho[d:, :d]) * O_t).sum() for s in trajectory.states])
 
 
 def coherence_steadiness(trajectory: Trajectory, O: np.ndarray) -> float:

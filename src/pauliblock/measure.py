@@ -16,16 +16,8 @@ import numpy as np
 
 from .channels import apply_channel, pauli_channel
 from .encoding import NdmeState
-from .errors import DimensionError, EncodingError
-from .paulis import (
-    PauliString,
-    X,
-    bits_to_index,
-    embed_operator,
-    num_qubits,
-    parse_bits,
-    pauli_matrix,
-)
+from .errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError, check_qubits
+from .paulis import PauliString, bits_to_index, embed_operator, num_qubits, parse_bits
 
 
 @dataclass(frozen=True)
@@ -48,13 +40,25 @@ class MeasurementRecord:
 
 
 def pauli_expectation(rho: np.ndarray, p: PauliString) -> float:
-    """Exact Tr(P rho) for a Hermitian-phase Pauli string."""
+    """Exact Tr(P rho) for a Hermitian-phase Pauli string.
+
+    P maps |K> to sign_K |K ^ x>, x the mask of its X and Y letters, so the trace is
+    sum_K sign_K rho[K, K ^ x]: p.phase, times i per Y, times -1 per Y or Z on a 1 bit.
+    """
     rho = np.asarray(rho, dtype=complex)
     if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise ValueError("density matrix is not Hermitian")
     if num_qubits(rho.shape[0]) != p.n:
         raise DimensionError(f"operator on {p.n} qubits, state on {rho.shape}")
-    val = np.trace(pauli_matrix(p) @ rho)
+    idx = np.arange(rho.shape[0])
+    flip, sign = 0, np.full(idx.size, p.phase * 1j ** p.letters.count("Y"))
+    for q, letter in enumerate(p.letters):
+        bit = 1 << (p.n - 1 - q)
+        if letter in "XY":
+            flip |= bit
+        if letter in "YZ":
+            sign[idx & bit != 0] *= -1
+    val = (sign * rho[idx, idx ^ flip]).sum()
     if abs(val.imag) > 1e-12:
         raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -116,6 +120,7 @@ def expectation_via_swap(state: NdmeState, state1: NdmeState) -> complex:
     """
     if state.n != state1.n:
         raise DimensionError("states carry different qubit counts")
+    check_qubits(state.n, SWAP_QUBITS, "expectation_via_swap")
     if abs(state.gamma - state1.gamma) > 1e-10 * max(1.0, state.gamma):
         raise EncodingError(
             f"encoding factors disagree: {state.gamma} vs {state1.gamma}"
@@ -141,24 +146,20 @@ def pauli_pair_expectation(state: NdmeState, p: PauliString) -> complex:
 def hle_identity_check(state: NdmeState, alpha) -> float:
     """Residual of the purification readout identity.
 
-    Purifies rho by eigendecomposition, evaluates the quadratic form of
-    I_env (x) (X (x) Q_alpha + I) on the purified vector, and compares with
-    1 + Tr((X (x) Q_alpha) rho).
+    Purifies rho by eigendecomposition into |P> with components
+    comps[k, J] = sqrt(w_k) v_k[J] and compares <P| I_env (x) (X (x) Q_alpha + I) |P>
+    with 1 + Tr((X (x) Q_alpha) rho).  X (x) Q_alpha maps |J> to |J ^ m>, m = (1, alpha),
+    so the form is vdot(comps, comps[:, J ^ m]) + vdot(comps, comps).
     """
     rho = state.rho
-    n = state.n
-    bits = parse_bits(alpha, n)
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     if w.min() < -1e-8:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    dim = rho.shape[0]
-    # |P> = sum_k sqrt(w_k) |k>_env (x) |v_k>, environment of equal size
-    purified = (v * np.sqrt(w)[None, :]).T.reshape(-1)
-    observable = np.kron(X, PauliString.from_bits(bits).matrix())
-    big = np.kron(np.eye(dim), observable + np.eye(dim))
-    lhs = purified.conj() @ big @ purified
-    rhs = 1.0 + np.trace(observable @ rho)
+    comps = (v * np.sqrt(np.clip(w, 0.0, None))[None, :]).T
+    idx = np.arange(rho.shape[0])
+    m = 2**state.n + bits_to_index(parse_bits(alpha, state.n))
+    lhs = np.vdot(comps, comps[:, idx ^ m]) + np.vdot(comps, comps)
+    rhs = 1.0 + assistant_traces(state, alpha)[0]
     return float(abs(lhs - rhs))
 
 
@@ -170,6 +171,7 @@ def sample_pauli(rho: np.ndarray, p: PauliString, shots: int, seed: int):
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    check_qubits(shots, MAX_SHOTS, "sample_pauli", unit="shots")
     exact = pauli_expectation(rho, p)
     p_plus = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
     rng = np.random.default_rng(seed)

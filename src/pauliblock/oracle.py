@@ -68,10 +68,14 @@ def circuit_unitary(circuit) -> np.ndarray:
     return U
 
 
-def amplitude_plus_u_zero(circuit) -> complex:
-    """Exact inner product of the uniform bra with the circuit output on |0...0>."""
+def amplitude_plus_u_zero(circuit, alpha: int = 0) -> complex:
+    """Exact <alpha|H^n U|0...0> = 2^(-n/2) sum_j (-1)^(alpha . j) psi_j, psi = U|0...0>."""
     psi = simulate(circuit)
-    return complex(psi.sum() * 2.0 ** (-circuit.n / 2))
+    masked = np.arange(psi.size) & alpha
+    odd = np.zeros(psi.size, dtype=bool)
+    for q in range(circuit.n):
+        odd ^= (masked >> q) & 1 == 1
+    return complex(np.where(odd, -psi, psi).sum() * 2.0 ** (-circuit.n / 2))
 
 
 def herm_exp(Hm: np.ndarray, t: float) -> np.ndarray:

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import block_coefficients, hadamard_transform, xor_class_matrix, xor_class_sums
+from .encoding import block_coefficients, hadamard_transform, xor_class_blocks, xor_class_sums
 from .errors import (
     KRAUS_SUM_QUBITS,
+    MAX_SHOTS,
     SCAN_QUBITS,
     STATE_QUBITS,
     VECTOR_QUBITS,
@@ -52,11 +53,6 @@ class SearchOracle:
         return bits_to_index(self.target)
 
 
-def _expand(s: np.ndarray) -> np.ndarray:
-    """The dense matrix with blocks B_ab[j, k] = s[a, b, j ^ k] / d."""
-    return np.block([[xor_class_matrix(c) for c in row] for row in s / s.shape[2]])
-
-
 def _oracle_sums(s: np.ndarray, xi: int) -> np.ndarray:
     """The oracle (2/3) C_x + (1/3) C_I on block class sums.
 
@@ -80,7 +76,7 @@ def oracle_apply(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
     blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
     s = np.array([[xor_class_sums(B) for B in row] for row in blocks])
-    return _expand(_oracle_sums(s, oracle.target_index))
+    return xor_class_blocks(_oracle_sums(s, oracle.target_index) / d)
 
 
 def oracle_apply_kraus(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
@@ -128,7 +124,7 @@ def _protocol_sums(oracle: SearchOracle) -> np.ndarray:
 def run_protocol(oracle: SearchOracle) -> np.ndarray:
     """Output density matrix after one controlled oracle query."""
     check_qubits(oracle.n, STATE_QUBITS, "run_protocol")
-    return _expand(_protocol_sums(oracle))
+    return xor_class_blocks(_protocol_sums(oracle) / 2**oracle.n)
 
 
 def rho_out_closed_form(n: int, x) -> np.ndarray:
@@ -196,6 +192,7 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleBatch:
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    check_qubits(shots, MAX_SHOTS, "sample_outcomes", unit="shots")
     width = probs.size.bit_length() - 1
     rng = np.random.default_rng(seed)
     indices = rng.choice(probs.size, size=shots, p=probs)

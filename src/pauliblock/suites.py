@@ -19,8 +19,8 @@ from .encoding import (
     encode_state_optimal,
     gamma_upper_bound,
     hadamard_transform,
-    ndme_block,
     s_from_amplitudes,
+    state_from_rho,
 )
 from .errors import VECTOR_QUBITS, check_qubits
 from .lindblad import (
@@ -32,7 +32,12 @@ from .lindblad import (
     parse_hamiltonian,
     validate_jumps,
 )
-from .measure import amplitude_via_pauli, expectation_via_swap, hle_identity_check
+from .measure import (
+    amplitude_from_traces,
+    assistant_traces,
+    expectation_via_swap,
+    hle_identity_check,
+)
 from .paulis import I2, PauliString, X, Y, Z, vectorize
 from .search import (
     SearchOracle,
@@ -192,12 +197,13 @@ def amplitude_suite(seed, circuits: int = 50, tol: float = 1e-9) -> dict:
         prog = compile_circuit(circ)
         plus = np.full(2**n, 2.0 ** (-n / 2))
         out = run_program(prog, encode_state_optimal(plus))
-        amp = amplitude_via_pauli(out, [0] * n)
+        tr_x, tr_y = assistant_traces(out, [0] * n)
+        amp = amplitude_from_traces(out, (tr_x, tr_y))
         want = oracle.amplitude_plus_u_zero(circ)
         worst_amp = max(worst_amp, abs(amp - want))
         # raw signal: (TrX - i TrY) should be 2^((n-k)/2) times the amplitude
         factor = predicted_signal_factor(n, k, 0.5)
-        raw = amp * 2.0 ** (n / 2 + 1) * out.gamma
+        raw = tr_x - 1j * tr_y
         worst_signal = max(worst_signal, abs(raw - factor * want))
         worst_gamma = max(worst_gamma, abs(out.gamma - 0.5 * prog.eta_total))
     ok = worst_amp < tol and worst_signal < tol and worst_gamma < 1e-10
@@ -253,9 +259,7 @@ def purification_suite(seed, tol: float = 1e-10) -> dict:
         dim = 2 ** (n + 1)
         states.append(NdmeState(n=n, rho=np.eye(dim) / dim, gamma=0.0))
         x = rng.integers(0, 2, n)
-        rho_out = run_protocol(SearchOracle(n=n, target=x))
-        gamma = float(np.linalg.norm(block_coefficients(ndme_block(rho_out))))
-        states.append(NdmeState(n=n, rho=rho_out, gamma=gamma))
+        states.append(state_from_rho(run_protocol(SearchOracle(n=n, target=x))))
         for state in states:
             for alpha in ([0] * n, rng.integers(0, 2, n)):
                 worst = max(worst, hle_identity_check(state, alpha))
@@ -402,14 +406,13 @@ def oracle_identity_suite(seed, tol: float = 1e-12) -> dict:
         x = rng.integers(0, 2, n)
         orc = SearchOracle(n=n, target=x)
         d = 2**n
-        idx = np.arange(d)
+        idx = np.arange(2 * d)
         for a in range(d):
-            q = np.eye(d)[idx ^ a]
-            op = np.kron(X, q)
+            op = np.eye(2 * d)[idx ^ (d + a)]  # X (x) Q_a maps |J> to |J ^ (1, a)>
             want = (1.0 if a == orc.target_index else -1.0) / 3.0 * op
             worst_pso = max(worst_pso, float(np.abs(oracle_apply(orc, op) - want).max()))
             rho_in = (np.eye(2 * d) + op) / (2 * d)
-            got = np.trace(op @ oracle_apply(orc, rho_in)).real
+            got = oracle_apply(orc, rho_in)[idx ^ (d + a), idx].sum().real
             expect = (1.0 if a == orc.target_index else -1.0) / 3.0
             worst_verify = max(worst_verify, abs(got - expect))
         m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))

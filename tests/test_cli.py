@@ -4,10 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from pauliblock import cli, suites
+from pauliblock import cli, oracle, suites
 from pauliblock.compiler import compile_circuit, parse_circuit, run_program
 from pauliblock.encoding import encode_state_optimal
-from pauliblock.errors import STATE_QUBITS
+from pauliblock.errors import MAX_SHOTS, STATE_QUBITS
 from pauliblock.lindblad import build_jumps, coherence_values, evolve, parse_hamiltonian
 from pauliblock.measure import amplitude_via_pauli
 from pauliblock.paulis import PauliString, X, Y
@@ -496,3 +496,37 @@ def test_search_runs_at_the_vector_cap(capsys):
     code, out, _ = run_cli(["search", "--n", "20", "--target", target, "--shots", "100"], capsys)
     report = json.loads(out)
     assert code == 0 and report["found"] == target and report["pass"] is True
+
+
+def test_search_oversize_shots_are_refused_before_the_search(capsys):
+    started = time.perf_counter()
+    argv = ["search", "--n", "20", "--target", "1" * 20, "--shots", "1000000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: sample_outcomes is capped at {MAX_SHOTS} shots, got 1000000000\n"
+
+
+def test_lindblad_solves_for_the_ground_space_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bell.txt"
+    path.write_text(BELL)
+    calls = []
+    real = oracle.ground_projector
+    monkeypatch.setattr(oracle, "ground_projector", lambda h: calls.append(h) or real(h))
+    code, out, _ = run_cli(["lindblad", "--hamiltonian", str(path), "--t-max", "0.5"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["frustration_free"] is True
+    assert report["steadiness_max_derivative"] is not None
+    assert len(calls) == 1
+
+
+def test_amplitude_reference_is_the_signed_statevector_sum(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text(CIRCUIT)
+    circ = parse_circuit(CIRCUIT)
+    for alpha in ("000", "101", "111"):
+        code, out, _ = run_cli(["amplitude", "--circuit", str(path), "--alpha", alpha], capsys)
+        report = json.loads(out)
+        want = oracle.amplitude_plus_u_zero(circ, int(alpha, 2))
+        assert code == 0
+        assert (report["c_alpha_oracle_re"], report["c_alpha_oracle_im"]) == (want.real, want.imag)

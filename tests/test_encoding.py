@@ -3,6 +3,7 @@ import pytest
 
 from pauliblock.encoding import (
     block_coefficients,
+    check_amplitudes,
     decode_state,
     encode_state_optimal,
     gamma_upper_bound,
@@ -11,7 +12,9 @@ from pauliblock.encoding import (
     pqc_decode,
     s_from_amplitudes,
     sector_matrix,
+    state_from_rho,
     validate_ndme,
+    xor_class_blocks,
     xor_class_matrix,
     xor_class_sums,
 )
@@ -224,3 +227,69 @@ def test_optimal_encoder_saturates_chain_termwise():
         assert np.abs(p0 - st.gamma * np.abs(chi)).max() < 1e-12
         assert np.abs(p1 - st.gamma * np.abs(chi)).max() < 1e-12
         assert (st.gamma * np.abs(chi) <= np.sqrt(p0 * p1) + 1e-12).all()
+
+
+def _product_encoder(c):
+    """The optimal encoder as a product of phased pure states (reference).
+
+    rho = sum_beta q_beta |phi_beta><phi_beta|, built from the dense
+    Hadamard matrix and one (2d, d) x (d, 2d) product.
+    """
+    c = check_amplitudes(c)
+    dim = c.size
+    chi = hadamard_transform(c)
+    mag = np.abs(chi)
+    total = mag.sum()
+    q = mag / total
+    keep = mag > 1e-15 * total
+    phase = np.ones(dim, dtype=complex)
+    phase[keep] = np.exp(-1j * np.angle(chi[keep]))
+    h_cols = hadamard_transform(np.eye(dim), axis=0)
+    amp = np.sqrt(q / 2.0)
+    psi = np.vstack([h_cols * amp[None, :], h_cols * (amp * phase)[None, :]])
+    return psi @ psi.conj().T, 1.0 / (2.0 * total)
+
+
+def _encoder_cases(n, rng):
+    basis = np.zeros(2**n)
+    basis[rng.integers(2**n)] = 1.0
+    return [random_statevector(n, rng) for _ in range(3)] + [basis, _plus_state(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_encoder_formula_matches_product_reference(n):
+    rng = np.random.default_rng(40 + n)
+    for c in _encoder_cases(n, rng):
+        st = encode_state_optimal(c)
+        rho, gamma = _product_encoder(c)
+        assert st.gamma == gamma
+        assert np.abs(st.rho - rho).max() < 1e-15
+        assert np.array_equal(st.rho, st.rho.conj().T)
+        assert abs(np.trace(st.rho) - 1.0) < 1e-14
+        assert np.abs(st.block() - st.gamma * sector_matrix(c)).max() < 1e-16
+
+
+def _block_expansion(s):
+    """np.block of the four XOR-class matrices (reference)."""
+    return np.block([[xor_class_matrix(c) for c in row] for row in s])
+
+
+def test_xor_class_blocks_is_the_block_expansion():
+    rng = np.random.default_rng(7)
+    for n in range(1, 8):
+        d = 2**n
+        s = rng.normal(size=(2, 2, d)) + 1j * rng.normal(size=(2, 2, d))
+        assert np.array_equal(xor_class_blocks(s), _block_expansion(s))
+        assert np.array_equal(xor_class_blocks(s / d), _block_expansion(s / d))
+
+
+def test_state_from_rho_gamma_is_the_inline_formula():
+    rng = np.random.default_rng(8)
+    for n in range(1, 6):
+        d = 2**n
+        m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho)
+        st = state_from_rho(rho)
+        assert st.n == n and st.rho is rho
+        assert st.gamma == float(np.linalg.norm(block_coefficients(rho[:d, d:])))

@@ -22,13 +22,14 @@ from pauliblock.lindblad import (
     PauliHamiltonian,
     build_jumps,
     coherence_steadiness,
+    coherence_values,
     evolve,
     ite_reference,
     lindblad_rhs,
     parse_hamiltonian,
     validate_jumps,
 )
-from pauliblock.paulis import PauliString, bell_frame
+from pauliblock.paulis import PauliString, X, bell_frame
 from pauliblock.suites import random_ff_hamiltonian
 
 BELL = "qubits 2\n1.0 -ZZ\n1.0 -XX\n"
@@ -389,3 +390,23 @@ def test_evolve_refuses_snapshots_beyond_the_memory_cap():
     assert 5001 * 16 * 4 ** (n + 1) > MAX_SNAPSHOT_BYTES
     with pytest.raises(ValueError, match="snapshots are capped"):
         evolve(state0, jumps, t_max=5.0, dt=1e-3, record_every=1)
+
+
+def test_coherence_values_match_dense_trace():
+    rng = np.random.default_rng(12)
+    cases = [random_ff_hamiltonian(rng, n) for n in (1, 2, 3)]
+    cases.append(parse_hamiltonian(FRUSTRATED))
+    for h in cases:
+        d = 2**h.n
+        st = encode_state_optimal(oracle.random_statevector(h.n, rng))
+        traj = evolve(st, build_jumps(h), t_max=0.2, dt=1e-2, record_every=5)
+        O = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        want = np.array([np.trace(np.kron(X, O) @ s.rho) for s in traj.states])
+        assert np.abs(coherence_values(traj, O) - want).max() < 1e-14
+
+
+def test_snapshot_gamma_is_the_block_coefficient_norm():
+    h = parse_hamiltonian(BELL)
+    traj = evolve(encode_state_optimal(np.full(4, 0.5)), build_jumps(h), 0.1, 1e-2, 3)
+    for snap in traj.states[1:]:
+        assert snap.gamma == float(np.linalg.norm(block_coefficients(snap.rho[:4, 4:])))

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pauliblock.encoding import NdmeState, encode_state_optimal
-from pauliblock.errors import EncodingError
+from pauliblock.errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError
 from pauliblock.measure import (
     MeasurementRecord,
     amplitude_via_pauli,
@@ -14,7 +16,8 @@ from pauliblock.measure import (
     sample_pauli,
 )
 from pauliblock.oracle import random_statevector
-from pauliblock.paulis import PauliString, pauli_decompose
+from pauliblock.paulis import PauliString, X, pauli_decompose
+from pauliblock.search import SearchOracle, run_protocol
 
 
 def _plus(n):
@@ -206,3 +209,75 @@ def test_signal_ordering_for_optimal_encodings():
             raw = scale * abs(c[alpha])
             if scale >= 1.0:
                 assert raw >= abs(c[alpha])
+
+
+def _dense_hle_residual(state, alpha):
+    """The purification check with the dense I_env (x) (X (x) Q_alpha + I) (reference)."""
+    rho = state.rho
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    w = np.clip(w, 0.0, None)
+    dim = rho.shape[0]
+    purified = (v * np.sqrt(w)[None, :]).T.reshape(-1)
+    observable = np.kron(X, PauliString.from_bits(alpha).matrix())
+    big = np.kron(np.eye(dim), observable + np.eye(dim))
+    lhs = purified.conj() @ big @ purified
+    rhs = 1.0 + np.trace(observable @ rho)
+    return float(abs(lhs - rhs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hle_identity_check_matches_dense_reference(n):
+    rng = np.random.default_rng(60 + n)
+    d = 2**n
+    states = [encode_state_optimal(random_statevector(n, rng)) for _ in range(3)]
+    states.append(NdmeState(n=n, rho=np.eye(2 * d) / (2 * d), gamma=0.0))
+    protocol = run_protocol(SearchOracle(n, rng.integers(0, 2, n)))
+    states.append(NdmeState(n=n, rho=protocol, gamma=0.0))
+    for state in states:
+        for alpha in ([0] * n, rng.integers(0, 2, n), [1] * n):
+            got = hle_identity_check(state, alpha)
+            assert abs(got - _dense_hle_residual(state, alpha)) < 1e-15
+
+
+def test_hle_identity_check_builds_no_operator():
+    state = encode_state_optimal(random_statevector(4, np.random.default_rng(9)))
+    tracemalloc.start()
+    try:
+        hle_identity_check(state, "1011")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the dense operator alone is 16 MB at n = 4
+
+
+def test_pauli_expectation_matches_dense_trace():
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 3):
+        d = 2**n
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho)
+        for _ in range(12):
+            letters = "".join(rng.choice(list("IXYZ"), size=n))
+            p = PauliString(1 if rng.random() < 0.5 else -1, letters)
+            want = np.trace(p.matrix() @ rho).real
+            assert abs(pauli_expectation(rho, p) - want) < 1e-15
+
+
+def test_swap_cap_is_checked_before_allocating():
+    rng = np.random.default_rng(11)
+    n = SWAP_QUBITS + 1
+    state = encode_state_optimal(random_statevector(n, rng))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="capped at"):
+            expectation_via_swap(state, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one 16^(n+1)-entry operator is 1 GB at n = 5
+
+
+def test_sample_pauli_refuses_shots_beyond_the_cap():
+    with pytest.raises(DimensionError, match="capped at"):
+        sample_pauli(np.eye(2) / 2, PauliString(1, "Z"), shots=MAX_SHOTS + 1, seed=0)

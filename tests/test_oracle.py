@@ -5,7 +5,8 @@ from pauliblock import oracle
 from pauliblock.compiler import Circuit, parse_circuit
 from pauliblock.errors import VECTOR_QUBITS, DimensionError
 from pauliblock.lindblad import PauliHamiltonian, parse_hamiltonian
-from pauliblock.paulis import Z, bell_matrix
+from pauliblock.paulis import HADAMARD, Z, bell_matrix, kron_all
+from pauliblock.suites import random_circuit
 
 
 def test_simulate_single_gates():
@@ -93,3 +94,15 @@ def test_size_guards():
         oracle.simulate(Circuit(n=VECTOR_QUBITS + 1, gates=()))
     with pytest.raises(DimensionError):
         oracle.herm_exp(np.eye(128), 1.0)
+
+
+def test_amplitude_at_alpha_matches_dense_hadamard():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4):
+        circ = random_circuit(rng, n, k=int(rng.integers(0, 3)))
+        psi = oracle.simulate(circ)
+        want = kron_all([HADAMARD] * n) @ psi
+        for alpha in range(2**n):
+            assert abs(oracle.amplitude_plus_u_zero(circ, alpha) - want[alpha]) < 1e-15
+        # alpha = 0 keeps the plain sum
+        assert oracle.amplitude_plus_u_zero(circ) == complex(psi.sum() * 2.0 ** (-n / 2))

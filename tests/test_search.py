@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pauliblock.errors import VECTOR_QUBITS, SearchFailure
+from pauliblock.encoding import xor_class_matrix, xor_class_sums
+from pauliblock.errors import MAX_SHOTS, VECTOR_QUBITS, DimensionError, SearchFailure
 from pauliblock.paulis import HADAMARD, PauliString, X, kron_all
 from pauliblock.search import (
     SearchOracle,
+    _oracle_sums,
+    _protocol_sums,
     bits_to_index,
     end_to_end_search,
     extract_target,
@@ -19,6 +22,7 @@ from pauliblock.search import (
     oracle_apply_kraus,
     rho_out_closed_form,
     run_protocol,
+    sample_outcomes,
     sample_x_basis,
     scan_all_targets,
     x_basis_probabilities,
@@ -306,3 +310,28 @@ def test_search_memory_is_linear_in_dimension():
 def test_search_suite_rejects_empty_or_nonpositive_ns(ns):
     with pytest.raises(ValueError, match="qubit counts n >= 1"):
         search_suite(0, runs=2, ns=ns)
+
+
+def _block_expansion(s):
+    """np.block of the four XOR-class matrices of s / d (reference)."""
+    return np.block([[xor_class_matrix(c) for c in row] for row in s / s.shape[2]])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dense_outputs_are_the_block_expansion_of_class_sums(n):
+    rng = np.random.default_rng(90 + n)
+    d = 2**n
+    orc = SearchOracle(n=n, target=rng.integers(0, 2, n))
+    rho = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
+    s = np.array([[xor_class_sums(B) for B in row] for row in blocks])
+    want = _block_expansion(_oracle_sums(s, orc.target_index))
+    assert np.array_equal(oracle_apply(orc, rho), want)
+    assert np.array_equal(run_protocol(orc), _block_expansion(_protocol_sums(orc)))
+
+
+def test_sample_outcomes_refuses_shots_beyond_the_cap():
+    probs = np.full(8, 1 / 8)
+    with pytest.raises(DimensionError, match="capped at"):
+        sample_outcomes(probs, MAX_SHOTS + 1, seed=0)
+    assert sample_outcomes(probs, 5, seed=0).outcomes.shape == (5, 3)
