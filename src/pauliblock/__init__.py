@@ -54,6 +54,7 @@ from .lindblad import (
     Trajectory,
     build_jumps,
     coherence_steadiness,
+    decay_rate_fit,
     evolve,
     ite_reference,
     lindblad_rhs,
@@ -74,6 +75,7 @@ from .paulis import (
     embed_operator,
     pauli_decompose,
     pauli_matrix,
+    pauli_trace,
     vectorize,
 )
 from .search import (

@@ -120,9 +120,8 @@ def check_cptp(ch: KrausPairChannel, atol: float = 1e-12) -> float:
     for K, L in ch.pairs:
         ksum += K.conj().T @ K
         lsum += L.conj().T @ L
-    eye = np.eye(dim)
-    resid = max(np.abs(ksum - eye).max(), np.abs(lsum - eye).max())
-    if resid > atol:
+    resid = np.abs(np.stack([ksum, lsum]) - np.eye(dim)).max()
+    if not resid <= atol:  # NaN fails too
         raise ChannelError(f"Kraus sums deviate from identity by {resid:.3e}")
     return resid
 

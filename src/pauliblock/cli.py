@@ -30,12 +30,13 @@ from .errors import STATE_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
     coherence_steadiness,
     coherence_values,
+    decay_rate_fit,
     ite_block_residual,
     parse_hamiltonian,
 )
 from .measure import MeasurementRecord, amplitude_from_traces, assistant_traces
 from .paulis import parse_bits
-from .search import SearchOracle, end_to_end_search, protocol_x_distribution, sample_outcomes
+from .search import SearchOracle, protocol_x_distribution, sample_outcomes, search_distribution
 from .suites import split_seeds
 
 SCHEMA_VERSION = 1
@@ -173,11 +174,10 @@ def cmd_lindblad(args) -> int:
         ok = ok and steadiness < 1e-6
     if not frustration_free:
         rate_expected = e_g + h.rate_sum()
-        mask = traj.times >= min(1.0, args.t_max / 2)
-        slope = np.polyfit(traj.times[mask], np.log(traj.block_norms[mask]), 1)[0]
-        report["decay_rate_fit"] = float(-slope)
+        rate = decay_rate_fit(traj, min(1.0, args.t_max / 2))
+        report["decay_rate_fit"] = rate
         report["decay_rate_expected"] = float(rate_expected)
-        ok = ok and abs(-slope - rate_expected) / rate_expected < 0.05
+        ok = ok and abs(rate - rate_expected) / rate_expected < 0.05
     if args.dt_audit:
         coarse = args.t_max / max(1, round(args.t_max / 0.08))
         _, r_coarse = ite_block_residual(state0, h, args.t_max, coarse, 1000)
@@ -224,7 +224,7 @@ def cmd_search(args) -> int:
     probs = protocol_x_distribution(SearchOracle(n=args.n, target=target))
     batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     try:
-        found, stats = end_to_end_search(args.n, target, seed=run_seed)
+        found, stats = search_distribution(probs, seed=run_seed)
     except SearchFailure as exc:
         report = {
             "schema": SCHEMA_VERSION,

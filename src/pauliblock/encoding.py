@@ -21,11 +21,11 @@ NORM_SLACK = 1e-9
 
 
 def check_amplitudes(c) -> np.ndarray:
-    """Validate and renormalize an amplitude vector (drift above 1e-9 is an error)."""
+    """Validate and renormalize an amplitude vector (drift above 1e-9 or NaN is an error)."""
     c = np.asarray(c, dtype=complex).reshape(-1)
     num_qubits(c.size)
     norm = np.linalg.norm(c)
-    if abs(norm - 1.0) > NORM_SLACK:
+    if not abs(norm - 1.0) <= NORM_SLACK:
         raise EncodingError(f"amplitude vector norm {norm} is not 1")
     return c / norm
 
@@ -104,7 +104,7 @@ def pqc_decode(S: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     """Amplitudes of a carrier matrix; rejects support outside the {I, X} sector."""
     c = block_coefficients(S)
     resid = np.abs(np.asarray(S, dtype=complex) - sector_matrix(c)).max()
-    if resid > atol:
+    if not resid <= atol:  # NaN fails too
         raise EncodingError(
             f"matrix has weight {resid:.3e} outside the I/X Pauli sector"
         )

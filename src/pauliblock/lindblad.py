@@ -234,6 +234,19 @@ def ite_block_residual(
     return traj, worst
 
 
+def decay_rate_fit(trajectory: Trajectory, t_min: float) -> float:
+    """Decay rate of the block norm: minus the slope of a line fit to its log.
+
+    Fits the snapshots at t >= t_min whose norm is positive; a norm that
+    underflowed to 0.0 on a long run has no logarithm.
+    """
+    keep = (trajectory.times >= t_min) & (trajectory.block_norms > 0.0)
+    if np.count_nonzero(keep) < 2:
+        raise ValueError("the decay fit needs two snapshots with a positive block norm")
+    slope = np.polyfit(trajectory.times[keep], np.log(trajectory.block_norms[keep]), 1)[0]
+    return float(-slope)
+
+
 def coherence_values(trajectory: Trajectory, O: np.ndarray) -> np.ndarray:
     """Tr(rho_t (X (x) O)), the entrywise sum of (rho_01 + rho_10) * O^T, at every snapshot."""
     O_t = np.asarray(O, dtype=complex).T

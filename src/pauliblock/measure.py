@@ -17,7 +17,7 @@ import numpy as np
 from .channels import apply_channel, pauli_channel
 from .encoding import NdmeState
 from .errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError, check_qubits
-from .paulis import PauliString, bits_to_index, embed_operator, num_qubits, parse_bits
+from .paulis import PauliString, embed_operator, num_qubits, parse_bits, pauli_trace
 
 
 @dataclass(frozen=True)
@@ -40,46 +40,25 @@ class MeasurementRecord:
 
 
 def pauli_expectation(rho: np.ndarray, p: PauliString) -> float:
-    """Exact Tr(P rho) for a Hermitian-phase Pauli string.
-
-    P maps |K> to sign_K |K ^ x>, x the mask of its X and Y letters, so the trace is
-    sum_K sign_K rho[K, K ^ x]: p.phase, times i per Y, times -1 per Y or Z on a 1 bit.
-    """
+    """Exact Tr(P rho) for a Hermitian-phase Pauli string, by paulis.pauli_trace."""
     rho = np.asarray(rho, dtype=complex)
     if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise ValueError("density matrix is not Hermitian")
     if num_qubits(rho.shape[0]) != p.n:
         raise DimensionError(f"operator on {p.n} qubits, state on {rho.shape}")
-    idx = np.arange(rho.shape[0])
-    flip, sign = 0, np.full(idx.size, p.phase * 1j ** p.letters.count("Y"))
-    for q, letter in enumerate(p.letters):
-        bit = 1 << (p.n - 1 - q)
-        if letter in "XY":
-            flip |= bit
-        if letter in "YZ":
-            sign[idx & bit != 0] *= -1
-    val = (sign * rho[idx, idx ^ flip]).sum()
+    val = pauli_trace(rho, p)
     if abs(val.imag) > 1e-12:
         raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 
 def assistant_traces(state: NdmeState, alpha) -> tuple:
-    """The measured traces (Tr((X (x) Q_alpha) rho), Tr((Y (x) Q_alpha) rho)), as floats.
-
-    X (x) Q_alpha maps |J> to |J ^ m> with m = (1, alpha), so both traces
-    are sums of the 2^(n+1) entries rho[J ^ m, J], taken in J order; Y (x)
-    Q_alpha weighs them by -i where the assistant bit of J is 0 and by +i
-    where it is 1.
-    """
-    d = 2**state.n
-    idx = np.arange(2 * d)
-    entries = state.rho[idx ^ (d + bits_to_index(parse_bits(alpha, state.n))), idx]
-    tr_x = entries.sum()
-    tr_y = np.concatenate([-1j * entries[:d], 1j * entries[d:]]).sum()
+    """The measured traces (Tr((X (x) Q_alpha) rho), Tr((Y (x) Q_alpha) rho)), as floats."""
+    x_q = PauliString.from_bits((1, *parse_bits(alpha, state.n)))
+    tr_x, tr_y = (pauli_trace(state.rho, p) for p in (x_q, PauliString(1, "Y" + x_q.letters[1:])))
     if max(abs(tr_x.imag), abs(tr_y.imag)) > 1e-10:
         raise ValueError("Pauli traces of a Hermitian state should be real")
-    return float(tr_x.real), float(tr_y.real)
+    return tr_x.real, tr_y.real
 
 
 def amplitude_from_traces(state: NdmeState, traces) -> complex:
@@ -151,15 +130,14 @@ def hle_identity_check(state: NdmeState, alpha) -> float:
     with 1 + Tr((X (x) Q_alpha) rho).  X (x) Q_alpha maps |J> to |J ^ m>, m = (1, alpha),
     so the form is vdot(comps, comps[:, J ^ m]) + vdot(comps, comps).
     """
+    x_q = PauliString.from_bits((1, *parse_bits(alpha, state.n)))
     rho = state.rho
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     if w.min() < -1e-8:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
     comps = (v * np.sqrt(np.clip(w, 0.0, None))[None, :]).T
-    idx = np.arange(rho.shape[0])
-    m = 2**state.n + bits_to_index(parse_bits(alpha, state.n))
-    lhs = np.vdot(comps, comps[:, idx ^ m]) + np.vdot(comps, comps)
-    rhs = 1.0 + assistant_traces(state, alpha)[0]
+    lhs = np.vdot(comps, comps[:, np.arange(rho.shape[0]) ^ x_q.flip]) + np.vdot(comps, comps)
+    rhs = 1.0 + pauli_trace(rho, x_q).real
     return float(abs(lhs - rhs))
 
 

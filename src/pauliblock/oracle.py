@@ -93,18 +93,13 @@ def herm_exp(Hm: np.ndarray, t: float) -> np.ndarray:
 
 
 def ground_projector(h):
-    """Projector onto the lowest eigenspace of a Pauli Hamiltonian.
+    """Projector onto the lowest eigenspace of a PauliHamiltonian.
 
-    Accepts either a dense Hermitian matrix or an object with .n and a
-    .matrix() method; the size is checked before the matrix is built.
-    Eigenvalues within 1e-9 of the minimum count as ground.
-    Returns (projector, ground energy).
+    The size h.n is checked before h.matrix() is built.  Eigenvalues within
+    1e-9 of the minimum count as ground.  Returns (projector, ground energy).
     """
-    dense = not hasattr(h, "matrix")
-    n = (len(h) - 1).bit_length() if dense else h.n
-    check_qubits(n, REFERENCE_QUBITS, "ground_projector")
-    Hm = np.asarray(h, dtype=complex) if dense else h.matrix()
-    w, v = np.linalg.eigh(Hm)
+    check_qubits(h.n, REFERENCE_QUBITS, "ground_projector")
+    w, v = np.linalg.eigh(h.matrix())
     e0 = float(w[0])
     cols = v[:, w <= e0 + 1e-9]
     return cols @ cols.conj().T, e0

@@ -42,7 +42,6 @@ ORACLE_ETA = 1.0 / 3.0
 class SearchOracle:
     n: int
     target: tuple
-    eta: float = ORACLE_ETA
 
     def __post_init__(self):
         check_qubits(self.n, VECTOR_QUBITS, "search")
@@ -117,7 +116,7 @@ def _protocol_sums(oracle: SearchOracle) -> np.ndarray:
     rho_sys the uniform (n+1)-qubit state, whose class sums are all 1/2.
     """
     s = np.full((2, 2, 2**oracle.n), 0.5, dtype=complex)
-    w = oracle.eta / (1.0 + oracle.eta)
+    w = ORACLE_ETA / (1.0 + ORACLE_ETA)
     return w * s + (1.0 - w) * _oracle_sums(s, oracle.target_index)
 
 
@@ -284,7 +283,16 @@ def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
     """Full pipeline: protocol state, sampling, post-selection, GF(2) solve.
 
     The protocol state stays as its block class sums and is never expanded,
-    so building the sampling distribution costs O(2^n) time and memory.
+    so building the sampling distribution costs O(2^n) time and memory;
+    search_distribution does the rest.
+    """
+    probs = protocol_x_distribution(SearchOracle(n=n, target=x))
+    return search_distribution(probs, seed, max_batch_retries)
+
+
+def search_distribution(probs: np.ndarray, seed, max_batch_retries: int = 64):
+    """Sampling, post-selection and GF(2) solve on a protocol X-basis distribution.
+
     Outcomes are drawn with sample_outcomes in chunks of max(4n, 8) and
     consumed in order; each batch runs up to its n-th accepted outcome and
     goes to extract_target, until a batch has full rank.  Returns
@@ -292,7 +300,7 @@ def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
     sample costs one query), acceptance_rate, and independence_batches
     (batches consumed).
     """
-    probs = protocol_x_distribution(SearchOracle(n=n, target=x))
+    n = probs.size.bit_length() - 2
     rng = np.random.default_rng(seed)
     chunk = max(4 * n, 8)
     outcomes = np.empty((0, n + 1), dtype=np.uint8)

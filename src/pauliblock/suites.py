@@ -27,6 +27,7 @@ from .lindblad import (
     PauliHamiltonian,
     build_jumps,
     coherence_steadiness,
+    decay_rate_fit,
     evolve,
     ite_block_residual,
     parse_hamiltonian,
@@ -38,7 +39,7 @@ from .measure import (
     expectation_via_swap,
     hle_identity_check,
 )
-from .paulis import I2, PauliString, X, Y, Z, vectorize
+from .paulis import I2, PauliString, X, Y, Z, pauli_trace, vectorize
 from .search import (
     SearchOracle,
     end_to_end_search,
@@ -337,9 +338,8 @@ def ite_suite(seed, tol: float = 1e-6, rate_tol: float = 0.05, dt: float = 1e-3)
         dt=dt,
         record_every=100,
     )
-    mask = traj.times >= 1.0
-    slope = np.polyfit(traj.times[mask], np.log(traj.block_norms[mask]), 1)[0]
-    rate_err = abs(-slope - expected_rate) / expected_rate
+    rate = decay_rate_fit(traj, 1.0)
+    rate_err = abs(rate - expected_rate) / expected_rate
     ok = (
         worst_block < tol
         and worst_jumps < 1e-12
@@ -353,7 +353,7 @@ def ite_suite(seed, tol: float = 1e-6, rate_tol: float = 0.05, dt: float = 1e-3)
         "jump_residual": float(worst_jumps),
         "frustration_free_energy_residual": float(worst_ff),
         "ground_dim_residual": float(worst_rank),
-        "decay_rate": float(-slope),
+        "decay_rate": rate,
         "decay_rate_expected": float(expected_rate),
         "decay_rate_rel_err": float(rate_err),
         "tol": tol,
@@ -406,13 +406,13 @@ def oracle_identity_suite(seed, tol: float = 1e-12) -> dict:
         x = rng.integers(0, 2, n)
         orc = SearchOracle(n=n, target=x)
         d = 2**n
-        idx = np.arange(2 * d)
         for a in range(d):
-            op = np.eye(2 * d)[idx ^ (d + a)]  # X (x) Q_a maps |J> to |J ^ (1, a)>
+            x_q = PauliString.from_bits(f"1{a:0{n}b}")  # X (x) Q_a
+            op = x_q.matrix()
             want = (1.0 if a == orc.target_index else -1.0) / 3.0 * op
             worst_pso = max(worst_pso, float(np.abs(oracle_apply(orc, op) - want).max()))
             rho_in = (np.eye(2 * d) + op) / (2 * d)
-            got = oracle_apply(orc, rho_in)[idx ^ (d + a), idx].sum().real
+            got = pauli_trace(oracle_apply(orc, rho_in), x_q).real
             expect = (1.0 if a == orc.target_index else -1.0) / 3.0
             worst_verify = max(worst_verify, abs(got - expect))
         m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))

@@ -366,3 +366,20 @@ def test_compose_requires_equal_qubits():
     assert both.qubits == (1,)
     want = cbe_operator(embed_channel(compose(h, hsh), [1], 2))
     assert np.abs(cbe_operator(both) - want).max() == 0
+
+
+def test_nan_kraus_pair_is_refused_when_built():
+    bad = I2.copy()
+    bad[0, 1] = np.nan
+    for pair in ((bad, I2.copy()), (I2.copy(), bad)):
+        with pytest.raises(ChannelError):
+            KrausPairChannel(n=1, pairs=[pair])
+
+
+def test_nan_kraus_pair_is_refused_from_the_wire():
+    data = channel_to_dict(KrausPairChannel(n=1, pairs=[(I2.copy(), I2.copy())]))
+    data["pairs"][0]["l"][1] = [float("nan"), 0.0]
+    text = json.dumps(data)
+    assert "NaN" in text  # Python's json module writes and reads it
+    with pytest.raises(ChannelError):
+        channel_from_dict(json.loads(text))

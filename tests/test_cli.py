@@ -530,3 +530,40 @@ def test_amplitude_reference_is_the_signed_statevector_sum(tmp_path, capsys):
         want = oracle.amplitude_plus_u_zero(circ, int(alpha, 2))
         assert code == 0
         assert (report["c_alpha_oracle_re"], report["c_alpha_oracle_im"]) == (want.real, want.imag)
+
+
+def test_long_frustrated_lindblad_run_fits_past_an_underflowed_norm(tmp_path, capsys):
+    path = tmp_path / "frustrated.txt"
+    path.write_text(FRUSTRATED)
+    csv_path = tmp_path / "traj.csv"
+    # dt = 0.5 is inside RK4's limit but coarse, so the block check gets a matching tolerance
+    argv = ["lindblad", "--hamiltonian", str(path), "--t-max", "1500", "--dt", "0.5",
+            "--tolerance", "0.1", "--trajectory-csv", str(csv_path)]
+    code, out, err = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True and err == ""
+    assert np.isfinite(report["decay_rate_fit"])
+    assert abs(report["decay_rate_fit"] / report["decay_rate_expected"] - 1) < 1e-3
+    norms = [float(line.split(",")[2]) for line in csv_path.read_text().splitlines()[1:]]
+    assert norms.count(0.0) > 100  # the block norm did underflow
+
+
+def test_search_computes_the_x_distribution_once(capsys, monkeypatch):
+    from pauliblock import search
+
+    calls = []
+    original = search.protocol_x_distribution
+    counted = lambda oracle: calls.append(oracle) or original(oracle)  # noqa: E731
+    monkeypatch.setattr(cli, "protocol_x_distribution", counted)
+    monkeypatch.setattr(search, "protocol_x_distribution", counted)
+    code, out, _ = run_cli(["search", "--n", "6", "--target", "101101", "--seed", "3"], capsys)
+    assert code == 0 and json.loads(out)["found"] == "101101"
+    assert len(calls) == 1
+
+
+def test_lindblad_decay_fit_on_one_snapshot_is_input_error(tmp_path, capsys):
+    path = tmp_path / "frustrated.txt"
+    path.write_text(FRUSTRATED)
+    code, out, err = run_cli(["lindblad", "--hamiltonian", str(path), "--t-max", "0.001"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: the decay fit needs two snapshots with a positive block norm\n"

@@ -293,3 +293,16 @@ def test_state_from_rho_gamma_is_the_inline_formula():
         st = state_from_rho(rho)
         assert st.n == n and st.rho is rho
         assert st.gamma == float(np.linalg.norm(block_coefficients(rho[:d, d:])))
+
+
+def test_nan_amplitudes_are_refused():
+    for call in (encode_state_optimal, gamma_upper_bound, check_amplitudes):
+        with pytest.raises(EncodingError):
+            call([np.nan, 0.0])
+
+
+def test_pqc_decode_refuses_nan_support():
+    S = sector_matrix([1.0, 0.0])
+    S[0, 1] = np.nan
+    with pytest.raises(EncodingError):
+        pqc_decode(S)

@@ -20,9 +20,11 @@ from pauliblock.errors import (
 from pauliblock.lindblad import (
     JumpSet,
     PauliHamiltonian,
+    Trajectory,
     build_jumps,
     coherence_steadiness,
     coherence_values,
+    decay_rate_fit,
     evolve,
     ite_reference,
     lindblad_rhs,
@@ -410,3 +412,13 @@ def test_snapshot_gamma_is_the_block_coefficient_norm():
     traj = evolve(encode_state_optimal(np.full(4, 0.5)), build_jumps(h), 0.1, 1e-2, 3)
     for snap in traj.states[1:]:
         assert snap.gamma == float(np.linalg.norm(block_coefficients(snap.rho[:4, 4:])))
+
+
+def test_decay_rate_fit_skips_underflowed_norms():
+    times = np.arange(6.0)
+    norms = np.exp(-0.5 * times)
+    norms[4:] = 0.0
+    traj = Trajectory(times=times, states=[], block_norms=norms)
+    assert decay_rate_fit(traj, 1.0) == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(ValueError):
+        decay_rate_fit(traj, 3.0)  # one positive norm left

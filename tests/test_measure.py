@@ -16,8 +16,8 @@ from pauliblock.measure import (
     sample_pauli,
 )
 from pauliblock.oracle import random_statevector
-from pauliblock.paulis import PauliString, X, pauli_decompose
-from pauliblock.search import SearchOracle, run_protocol
+from pauliblock.paulis import PauliString, X, pauli_decompose, pauli_trace
+from pauliblock.search import SearchOracle, oracle_apply, run_protocol
 
 
 def _plus(n):
@@ -281,3 +281,33 @@ def test_swap_cap_is_checked_before_allocating():
 def test_sample_pauli_refuses_shots_beyond_the_cap():
     with pytest.raises(DimensionError, match="capped at"):
         sample_pauli(np.eye(2) / 2, PauliString(1, "Z"), shots=MAX_SHOTS + 1, seed=0)
+
+
+def _gathered_traces(state, a):
+    """The hand-written index gather assistant_traces used before pauli_trace."""
+    d = 2**state.n
+    idx = np.arange(2 * d)
+    entries = state.rho[idx ^ (d + a), idx]
+    tr_x = entries.sum()
+    tr_y = np.concatenate([-1j * entries[:d], 1j * entries[d:]]).sum()
+    return float(tr_x.real), float(tr_y.real)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_assistant_traces_equal_the_old_gather_exactly(n):
+    rng = np.random.default_rng(70 + n)
+    state = encode_state_optimal(random_statevector(n, rng))
+    for a in rng.integers(0, 2**n, 6):
+        assert assistant_traces(state, f"{a:0{n}b}") == _gathered_traces(state, int(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_verification_trace_equals_the_old_gather_exactly(n):
+    rng = np.random.default_rng(80 + n)
+    orc = SearchOracle(n=n, target=rng.integers(0, 2, n))
+    d = 2**n
+    idx = np.arange(2 * d)
+    for a in range(d):
+        x_q = PauliString.from_bits(f"1{a:0{n}b}")
+        out = oracle_apply(orc, (np.eye(2 * d) + 0.7 * x_q.matrix()) / (2 * d))
+        assert pauli_trace(out, x_q).real == out[idx ^ (d + a), idx].sum().real

@@ -1,10 +1,15 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from pauliblock import paulis
 from pauliblock.errors import DimensionError
 from pauliblock.paulis import (
     HADAMARD,
     I2,
+    LETTER_MATRICES,
+    PHASES,
     PauliString,
     X,
     Y,
@@ -18,6 +23,7 @@ from pauliblock.paulis import (
     pauli_decompose,
     parse_bits,
     pauli_matrix,
+    pauli_trace,
     vectorize,
 )
 
@@ -212,3 +218,71 @@ def test_parse_bits_accepts_text_and_sequences():
     for bad, n in (("", None), ("0b1", None), ("101", 2), ([0, 2], 2), ("1١", 2)):
         with pytest.raises(ValueError, match="expected"):
             parse_bits(bad, n)
+
+
+def _kron_decompose(O, drop_tol=1e-14):
+    """The Kronecker-product decomposition pauli_decompose used to run: 2^-n Tr(P O)."""
+    O = np.asarray(O, dtype=complex)
+    n = O.shape[0].bit_length() - 1
+    coeffs = {}
+    for letters in product("IXYZ", repeat=n):
+        P = kron_all([LETTER_MATRICES[ch] for ch in letters])
+        c = np.trace(P @ O) / O.shape[0]
+        if abs(c) > drop_tol:
+            coeffs["".join(letters)] = c
+    return coeffs
+
+
+def _random_matrix(rng, n):
+    d = 2**n
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_trace_matches_dense_trace_on_every_string(n):
+    M = _random_matrix(np.random.default_rng(20 + n), n)  # complex, not Hermitian
+    for phase in PHASES:
+        for letters in product("IXYZ", repeat=n):
+            p = PauliString(phase, "".join(letters))
+            assert abs(pauli_trace(M, p) - np.trace(p.matrix() @ M)) < 1e-12
+
+
+def test_pauli_flip_is_the_mask_of_x_and_y_letters():
+    assert PauliString(1, "IXYZ").flip == 0b0110
+    assert PauliString(-1j, "YIIX").flip == 0b1001
+    assert PauliString(1, "ZZZ").flip == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_decompose_matches_the_kronecker_reference(n):
+    rng = np.random.default_rng(30 + n)
+    for O in (_random_matrix(rng, n), kron_all([HADAMARD] * n), np.diag(rng.normal(size=2**n))):
+        got = pauli_decompose(O)
+        want = _kron_decompose(O)
+        assert list(got) == list(want)
+        assert max(abs(got[k] - want[k]) for k in want) < 1e-14
+
+
+def test_pauli_decompose_rebuilds_the_operator_at_five_qubits():
+    O = _random_matrix(np.random.default_rng(35), 5)
+    coeffs = pauli_decompose(O, drop_tol=0.0)
+    assert len(coeffs) == 4**5
+    rebuilt = sum(c * pauli_matrix("+" + label) for label, c in coeffs.items())
+    assert np.abs(rebuilt - O).max() < 1e-12
+
+
+def test_pauli_decompose_forms_no_kronecker_product(monkeypatch):
+    rng = np.random.default_rng(36)
+    labels = ["XYZIXYZI", "ZZIIYYXX", "IIIIIIII"]
+    weights = rng.normal(size=3) + 1j * rng.normal(size=3)
+    O = sum(w * pauli_matrix("+" + label) for w, label in zip(weights, labels))
+
+    def refuse(*args):
+        raise AssertionError("Kronecker product formed")
+
+    monkeypatch.setattr(paulis, "kron_all", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    coeffs = pauli_decompose(O, drop_tol=1e-12)  # the OPERATOR_QUBITS cap, n = 8
+    assert sorted(coeffs) == sorted(labels)
+    for w, label in zip(weights, labels):
+        assert abs(coeffs[label] - w) < 1e-12

@@ -18,7 +18,7 @@ from pauliblock.channels import (
 from pauliblock.compiler import GATE_ARITY, parse_circuit
 from pauliblock.errors import ChannelError, ParseError
 from pauliblock.lindblad import parse_hamiltonian
-from pauliblock.paulis import PHASES, PauliString
+from pauliblock.paulis import PHASES, PauliString, pauli_trace
 
 FEW = settings(max_examples=40, deadline=None)
 
@@ -149,3 +149,19 @@ def test_pauli_product_matches_matrices(triple):
 def test_pauli_product_is_associative(triple):
     p, q, r = triple
     assert (p * q) * r == p * (q * r)
+
+
+@st.composite
+def signed_strings(draw):
+    n = draw(st.integers(1, 6))
+    letters = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+    return PauliString(draw(st.sampled_from(PHASES)), letters)
+
+
+@FEW
+@given(signed_strings(), st.integers(0, 2**32 - 1))
+def test_pauli_trace_matches_the_dense_trace(p, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**p.n
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    assert abs(pauli_trace(M, p) - np.trace(p.matrix() @ M)) < 1e-12
