@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -28,6 +29,7 @@ from .compiler import (
 from .encoding import encode_state_optimal, s_from_amplitudes
 from .errors import STATE_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
+    RK4_STABILITY_LIMIT,
     coherence_steadiness,
     coherence_values,
     decay_rate_fit,
@@ -179,7 +181,9 @@ def cmd_lindblad(args) -> int:
         report["decay_rate_expected"] = float(rate_expected)
         ok = ok and abs(rate - rate_expected) / rate_expected < 0.05
     if args.dt_audit:
-        coarse = args.t_max / max(1, round(args.t_max / 0.08))
+        # about 0.08, or finer where RK4 needs it: 2 dt sum(lambda) <= RK4_STABILITY_LIMIT
+        stable = math.ceil(2 * args.t_max * h.rate_sum() / RK4_STABILITY_LIMIT)
+        coarse = args.t_max / max(1, round(args.t_max / 0.08), stable)
         _, r_coarse = ite_block_residual(state0, h, args.t_max, coarse, 1000)
         _, r_fine = ite_block_residual(state0, h, args.t_max, coarse / 2, 1000)
         report["dt_audit_ratio"] = float(r_coarse / r_fine) if r_fine > 0 else None

@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import oracle
 from .channels import conjugate_pairs, pauli_channel, verify_po
 from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix, state_from_rho
 from .errors import (
@@ -52,6 +51,14 @@ class PauliHamiltonian:
 
     def rate_sum(self) -> float:
         return float(sum(lam for lam, _ in self.terms))
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """Read-only (w, V) = eigh(H_p), solved once; n is checked before the matrix is built."""
+        check_qubits(self.n, REFERENCE_QUBITS, "PauliHamiltonian.spectrum")
+        w, v = np.linalg.eigh(self.matrix())
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
@@ -150,7 +157,8 @@ def evolve(
 
     dt, t_max and their ratio must be finite, and t_max a whole number of
     steps (to a relative 1e-9), so the trajectory ends exactly at t_max.
-    Snapshots are recorded every record_every steps (plus start and end).
+    Snapshots are recorded every record_every steps (plus start and end);
+    record_every must be an integer >= 1.
     A run of more than MAX_STEPS steps, or whose snapshots would hold more
     than MAX_SNAPSHOT_BYTES, is refused with ValueError before its first
     step.  Trace drift beyond 1e-6 aborts with IntegratorError.
@@ -166,6 +174,8 @@ def evolve(
         raise ValueError(f"t_max and t_max / dt must be finite, got t_max={t_max}, dt={dt}")
     if t_max < dt:
         raise ValueError("t_max must be at least dt")
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     if state0.n != jumps.n:
         raise DimensionError("state and jump set disagree on qubit count")
     steps = int(round(t_max / dt))
@@ -207,14 +217,12 @@ def evolve(
 
 
 def ite_reference(psi0, h: PauliHamiltonian, t: float) -> np.ndarray:
-    """Unnormalized exp(-t (H_p + sum lambda)) psi0 via eigendecomposition."""
+    """Unnormalized exp(-t (H_p + sum lambda)) psi0 = V e^(-t (w + sum lambda)) V^dag psi0."""
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    n = num_qubits(psi0.size)
-    if n != h.n:
+    if num_qubits(psi0.size) != h.n:
         raise DimensionError("state and Hamiltonian disagree on qubit count")
-    check_qubits(n, REFERENCE_QUBITS, "ite_reference")
-    generator = h.matrix() + h.rate_sum() * np.eye(2**n)
-    return oracle.herm_exp(generator, t) @ psi0
+    w, v = h.spectrum
+    return v @ (np.exp(-t * (w + h.rate_sum())) * (v.conj().T @ psi0))
 
 
 def ite_block_residual(

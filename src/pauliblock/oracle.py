@@ -95,11 +95,10 @@ def herm_exp(Hm: np.ndarray, t: float) -> np.ndarray:
 def ground_projector(h):
     """Projector onto the lowest eigenspace of a PauliHamiltonian.
 
-    The size h.n is checked before h.matrix() is built.  Eigenvalues within
+    Reads h.spectrum, the one size-checked eigensolve of h.  Eigenvalues within
     1e-9 of the minimum count as ground.  Returns (projector, ground energy).
     """
-    check_qubits(h.n, REFERENCE_QUBITS, "ground_projector")
-    w, v = np.linalg.eigh(h.matrix())
+    w, v = h.spectrum
     e0 = float(w[0])
     cols = v[:, w <= e0 + 1e-9]
     return cols @ cols.conj().T, e0

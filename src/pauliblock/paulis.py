@@ -209,18 +209,25 @@ def pauli_trace(M: np.ndarray, p: PauliString) -> complex:
 def pauli_decompose(O: np.ndarray, drop_tol: float = 1e-14) -> dict:
     """Coefficients of O over unsigned Pauli strings, keyed by letter label.
 
-    Uses coeff(P) = 2^-n pauli_trace(O, P), O(8^n) in all; entries below drop_tol are omitted.
+    The string with flip mask x and Z mask z (its Y and Z letters) has
+    coeff = 2^-n Tr(P O) = 2^(-n/2) (-i)^|x & z| (H^n V)[x, z] with V[x, J] = O[J ^ x, J],
+    so one Walsh-Hadamard transform along J gives them all, O(4^n n).  Keys are in
+    product("IXYZ") order; entries below drop_tol are omitted.
     """
+    from .encoding import hadamard_transform  # encoding imports this module
+
     O = np.asarray(O, dtype=complex)
     n = num_qubits(O.shape[0])
     check_qubits(n, OPERATOR_QUBITS, "pauli_decompose")
-    coeffs = {}
-    scale = 1.0 / O.shape[0]
-    for label in map("".join, product("IXYZ", repeat=n)):
-        c = scale * pauli_trace(O, PauliString(1, label))
-        if abs(c) > drop_tol:
-            coeffs[label] = c
-    return coeffs
+    idx = np.arange(O.shape[0])
+    walsh = hadamard_transform(O[idx[:, None] ^ idx, idx], axis=1) * 2.0 ** (-n / 2)
+    letters = np.indices((4,) * n).reshape(n, -1)  # 0..3 = I, X, Y, Z, one column per label
+    weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+    x = weights @ ((letters == 1) | (letters == 2))
+    z = weights @ (letters >= 2)
+    values = np.array([1, -1j, -1, 1j])[(letters == 2).sum(axis=0) % 4] * walsh[x, z]
+    labels = map("".join, product("IXYZ", repeat=n))
+    return {label: c for label, c in zip(labels, values.tolist()) if abs(c) > drop_tol}
 
 
 def embed_operator(op: np.ndarray, qubits, n: int) -> np.ndarray:

@@ -567,3 +567,24 @@ def test_lindblad_decay_fit_on_one_snapshot_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(["lindblad", "--hamiltonian", str(path), "--t-max", "0.001"], capsys)
     assert code == 2 and out == ""
     assert err == "error: the decay fit needs two snapshots with a positive block norm\n"
+
+
+def test_lindblad_dt_audit_refines_a_step_rk4_cannot_take(tmp_path, capsys):
+    # round(t_max / 0.08) = 6 coarse steps would give 2 dt sum(lambda) = 3.33 > 2.785
+    path = tmp_path / "stiff.txt"
+    path.write_text("qubits 1\n20.0 +X\n")
+    argv = ["lindblad", "--hamiltonian", str(path), "--t-max", "0.5", "--dt", "1e-3"]
+    code, out, err = run_cli(argv + ["--tolerance", "1e-3", "--dt-audit"], capsys)
+    assert code == 0 and err == ""
+    ratio = json.loads(out)["dt_audit_ratio"]
+    assert ratio is not None and np.isfinite(ratio)
+
+
+def test_lindblad_dt_audit_shares_one_eigensolve(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "frus.txt"
+    path.write_text(FRUSTRATED)
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a) or real(a, *args))
+    code, _, _ = run_cli(["lindblad", "--hamiltonian", str(path), "--t-max", "2.0", "--dt-audit"], capsys)
+    assert code == 0 and len(calls) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pauliblock import oracle
+from pauliblock import lindblad, oracle
 from pauliblock.encoding import (
     NdmeState,
     block_coefficients,
@@ -26,6 +26,7 @@ from pauliblock.lindblad import (
     coherence_values,
     decay_rate_fit,
     evolve,
+    ite_block_residual,
     ite_reference,
     lindblad_rhs,
     parse_hamiltonian,
@@ -422,3 +423,61 @@ def test_decay_rate_fit_skips_underflowed_norms():
     assert decay_rate_fit(traj, 1.0) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValueError):
         decay_rate_fit(traj, 3.0)  # one positive norm left
+
+
+def _random_hamiltonian(rng, n):
+    """Signed random strings with random weights; in general frustrated."""
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        letters = "".join(rng.choice(list("IXYZ"), size=n).tolist())
+        terms.append((float(rng.uniform(0.2, 1.5)), PauliString(int(rng.choice([1, -1])), letters)))
+    return PauliHamiltonian(n=n, terms=tuple(terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ite_reference_matches_the_dense_propagator(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(3):
+        h = _random_hamiltonian(rng, n)
+        generator = h.matrix() + h.rate_sum() * np.eye(2**n)
+        psi0 = oracle.random_statevector(n, rng)
+        for t in (0.0, 0.37, 2.0, 25.0):
+            want = oracle.herm_exp(generator, t) @ psi0
+            assert np.abs(ite_reference(psi0, h, t) - want).max() < 1e-12
+
+
+def test_one_eigensolve_serves_the_ground_space_and_every_snapshot(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a) or real(a, *args))
+    h = parse_hamiltonian(FRUSTRATED)
+    _, energy = oracle.ground_projector(h)
+    traj, residual = ite_block_residual(encode_state_optimal(np.full(2, 2.0**-0.5)), h, 0.5, 0.01, 5)
+    assert len(traj.times) >= 10 and residual < 1e-6
+    assert energy == pytest.approx(-np.sqrt(2), abs=1e-12)
+    assert len(calls) == 1
+
+
+def test_spectrum_is_read_only_and_size_checked_before_the_matrix(monkeypatch):
+    w, v = parse_hamiltonian(BELL).spectrum
+    for arr in (w, v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    def refuse(self):
+        raise AssertionError("matrix built")
+
+    monkeypatch.setattr(PauliHamiltonian, "matrix", refuse)
+    with pytest.raises(DimensionError, match="capped at 6 qubits, got 7"):
+        parse_hamiltonian("qubits 7\n1.0 -ZIIIIII\n").spectrum
+
+
+@pytest.mark.parametrize("record_every", [0, -5, 2.5])
+def test_evolve_refuses_a_record_every_that_is_not_a_positive_integer(monkeypatch, record_every):
+    def refuse(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(lindblad, "lindblad_rhs", refuse)
+    jumps = build_jumps(parse_hamiltonian(FRUSTRATED))
+    with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+        evolve(encode_state_optimal([1, 0]), jumps, t_max=0.1, dt=0.01, record_every=record_every)

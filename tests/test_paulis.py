@@ -286,3 +286,38 @@ def test_pauli_decompose_forms_no_kronecker_product(monkeypatch):
     assert sorted(coeffs) == sorted(labels)
     for w, label in zip(weights, labels):
         assert abs(coeffs[label] - w) < 1e-12
+
+
+def _index_trace_decompose(O, drop_tol=1e-14):
+    """The per-string loop pauli_decompose ran before the transform: 2^-n pauli_trace(O, P)."""
+    O = np.asarray(O, dtype=complex)
+    coeffs = {}
+    for label in map("".join, product("IXYZ", repeat=O.shape[0].bit_length() - 1)):
+        c = pauli_trace(O, PauliString(1, label)) / O.shape[0]
+        if abs(c) > drop_tol:
+            coeffs[label] = c
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_decompose_matches_the_index_trace_loop(n):
+    rng = np.random.default_rng(40 + n)
+    hermitian = _random_matrix(rng, n)
+    for O in (_random_matrix(rng, n), hermitian + hermitian.conj().T, kron_all([Y] * n)):
+        got = pauli_decompose(O)
+        want = _index_trace_decompose(O)
+        assert list(got) == list(want)
+        assert max(abs(got[k] - want[k]) for k in want) < 1e-14
+
+
+def test_pauli_decompose_runs_one_transform_and_no_per_string_trace(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-string trace taken")
+
+    monkeypatch.setattr(paulis, "pauli_trace", refuse)
+    O = _random_matrix(np.random.default_rng(48), 8)  # the OPERATOR_QUBITS cap
+    coeffs = pauli_decompose(O, drop_tol=0.0)
+    assert list(coeffs) == list(map("".join, product("IXYZ", repeat=8)))
+    for label in ("IIIIIIII", "XYZIXYZI", "YYYYYYYY", "ZIZIZIZI"):
+        want = np.trace(pauli_matrix("+" + label) @ O) / 2**8
+        assert abs(coeffs[label] - want) < 1e-12
