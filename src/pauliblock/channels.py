@@ -12,11 +12,11 @@ matrices at scale eta.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import NdmeState, state_from_rho
+from .encoding import NdmeState, xor_grid
 from .errors import CBE_QUBITS, ChannelError, DimensionError, check_qubits
 from .paulis import (
     CNOT,
@@ -76,13 +76,15 @@ class KrausPairChannel:
     when omitted), so each K_i and L_i is 2^len(qubits) square.  Building
     one checks the qubits and pair shapes and runs check_cptp at that local
     dimension, so every channel that exists is trace preserving and
-    applying it needs no further check.
+    applying it needs no further check.  Its class transfer is computed on
+    first use (see apply_channel) and shared with every lift of it.
     """
 
     n: int
     pairs: tuple
     eta: float | None = None
     qubits: tuple | None = None
+    _transfer: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.qubits is None:
@@ -162,16 +164,65 @@ def conjugate_pairs(rho: np.ndarray, blocks: np.ndarray, qubits: tuple) -> np.nd
     return acc.reshape([2] * (2 * n + 2)).transpose(np.argsort(acc_order)).reshape(rho.shape)
 
 
-def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
-    """Apply the channel to an encoded state, recomputing the encoding factor.
+def _transfer_and_leak(pairs) -> tuple:
+    """Local class transfer T[a, b, eps, delta] of a pair set, and its leak.
 
-    The output gamma is the l2 norm of the {I, X}-sector coefficients of the
-    transformed block, which equals eta * gamma_in * ||V psi|| whenever the
-    channel block-encodes an operator V.
+    With M_0 = K and M_1 = L, T_ab[eps, delta] is the row-0 class value at
+    eps of sum_i M_a,i Q_delta M_b,i^dag, that is
+    sum_i sum_k M_a,i[0, k ^ delta] conj(M_b,i[eps, k]): one product with the
+    pair index and k contracted.  The XOR-class-constant matrices are those
+    diagonal in the Hadamard frame, spanned by the class projectors
+    H|j><j|H, so the pairs keep blocks class constant exactly when every
+    sum_i (H M_a,i H)|j><j|(H M_b,i H)^dag is diagonal; the leak is the
+    largest off-diagonal entry of those.  Both cost O(pairs 8^k) for k qubits.
+    """
+    ms = np.array(pairs)  # (pair, 2, local, local)
+    p, _, m, _ = ms.shape
+    rows = ms[:, :, 0, :][:, :, xor_grid(num_qubits(m))]  # [i, a, delta, k] = M_a,i[0, k ^ delta]
+    rows = rows.transpose(1, 2, 0, 3).reshape(2 * m, p * m)
+    cols = ms.conj().transpose(0, 3, 1, 2).reshape(p * m, 2 * m)  # [(i, k), (b, eps)]
+    transfer = (rows @ cols).reshape(2, m, 2, m).transpose(0, 2, 3, 1)
+    walsh = kron_all([HADAMARD] * num_qubits(m))
+    framed = walsh @ ms @ walsh
+    diagonal = np.arange(m)
+    step = max(1, (1 << 20) // (4 * m * m))  # projectors per product, about 2^20 image entries
+    leak = 0.0
+    for j in range(0, m, step):
+        col = framed[:, :, :, j : j + step].transpose(3, 1, 2, 0).reshape(-1, 2 * m, p)  # [j, (a, r), i]
+        image = np.abs(col @ col.conj().transpose(0, 2, 1)).reshape(-1, 2, m, 2, m)  # [j, a, r, b, s]
+        image[:, :, diagonal, :, diagonal] = 0.0
+        leak = max(leak, float(image.max()))
+    return transfer, leak
+
+
+def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
+    """Apply the channel to an encoded state's class values by its local class transfer.
+
+    A block sum_delta c[delta] Q_delta maps to sum_eps (T c)[eps] Q_eps, one
+    local class index at a time, so the class values are transposed to put
+    the channel's qubits first, multiplied by the (2, 2, local, local)
+    transfer and transposed back.  The transfer is computed on the
+    channel's first use and shared with every lift of its base; a channel
+    whose leak is above rounding (1e-12) does not keep blocks XOR-class
+    constant, has no action on class values and raises ChannelError.  The
+    output gamma is 2^(n/2) ||c_01||, which equals eta * gamma_in * ||V psi||
+    whenever the channel block-encodes an operator V.
     """
     if state.n != ch.n:
         raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
-    return state_from_rho(conjugate_pairs(state.rho, np.array(ch.pairs), ch.qubits))
+    if "T" not in ch._transfer:  # first use of this channel or of the base it lifts
+        transfer, leak = _transfer_and_leak(ch.pairs)
+        if not leak <= 1e-12:  # NaN fails too
+            raise ChannelError(f"channel moves weight {leak:.3e} off the XOR classes")
+        ch._transfer["T"] = transfer
+    transfer = ch._transfer["T"]
+    n = ch.n
+    axes = (0, 1) + tuple(2 + q for q in ch.qubits)
+    axes += tuple(2 + q for q in range(n) if q not in ch.qubits)
+    lead = state.classes.reshape((2, 2) + (2,) * n).transpose(axes)
+    out = transfer @ lead.reshape(2, 2, transfer.shape[-1], -1)
+    out = out.reshape((2, 2) + (2,) * n).transpose(np.argsort(axes)).reshape(2, 2, 2**n)
+    return NdmeState(n=n, classes=out)
 
 
 def cbe_operator(ch: KrausPairChannel) -> np.ndarray:
@@ -306,13 +357,16 @@ def embed_channel(ch: KrausPairChannel, qubits, n: int) -> KrausPairChannel:
     Qubit j of ch becomes qubits[j].  The checked pairs are kept as they are
     and only the qubit labels change, so the lift is not checked again: its
     Kraus sums on the n qubits are the base sums tensored with the identity.
+    The lift shares the base's class transfer, so a program computes one per
+    library gate.
     """
     qubits = _checked_qubits(qubits, n)
     if len(qubits) != ch.n:
         raise DimensionError(f"need {ch.n} qubit indices, got {list(qubits)}")
     lifted = object.__new__(KrausPairChannel)
     placed = tuple(qubits[q] for q in ch.qubits)
-    for name, value in (("n", n), ("pairs", ch.pairs), ("eta", ch.eta), ("qubits", placed)):
+    fields = (("n", n), ("pairs", ch.pairs), ("eta", ch.eta), ("qubits", placed), ("_transfer", ch._transfer))
+    for name, value in fields:
         object.__setattr__(lifted, name, value)
     return lifted
 

@@ -27,9 +27,8 @@ from .compiler import (
     run_program,
 )
 from .encoding import encode_state_optimal, s_from_amplitudes
-from .errors import STATE_QUBITS, ParseError, SearchFailure, check_qubits
+from .errors import MAX_SHOTS, STATE_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
-    RK4_STABILITY_LIMIT,
     coherence_steadiness,
     coherence_values,
     decay_rate_fit,
@@ -42,6 +41,9 @@ from .search import SearchOracle, protocol_x_distribution, sample_outcomes, sear
 from .suites import split_seeds
 
 SCHEMA_VERSION = 1
+# --dt-audit keeps 2 dt sum(lambda) at or below this, inside RK4's asymptotic
+# range, where halving the step divides the error by about 16
+AUDIT_STEP_LIMIT = 0.5
 SEED_RULE = "numpy SeedSequence(seed).spawn, one child per suite in report order"
 
 
@@ -181,9 +183,10 @@ def cmd_lindblad(args) -> int:
         report["decay_rate_expected"] = float(rate_expected)
         ok = ok and abs(rate - rate_expected) / rate_expected < 0.05
     if args.dt_audit:
-        # about 0.08, or finer where RK4 needs it: 2 dt sum(lambda) <= RK4_STABILITY_LIMIT
-        stable = math.ceil(2 * args.t_max * h.rate_sum() / RK4_STABILITY_LIMIT)
-        coarse = args.t_max / max(1, round(args.t_max / 0.08), stable)
+        # about 0.08, or finer where the ratio would leave RK4's fourth-order
+        # range: 2 dt sum(lambda) <= AUDIT_STEP_LIMIT
+        asymptotic = math.ceil(2 * args.t_max * h.rate_sum() / AUDIT_STEP_LIMIT)
+        coarse = args.t_max / max(1, round(args.t_max / 0.08), asymptotic)
         _, r_coarse = ite_block_residual(state0, h, args.t_max, coarse, 1000)
         _, r_fine = ite_block_residual(state0, h, args.t_max, coarse / 2, 1000)
         report["dt_audit_ratio"] = float(r_coarse / r_fine) if r_fine > 0 else None
@@ -223,8 +226,9 @@ def cmd_search(args) -> int:
     target = args.target
     parse_bits(target, args.n)
     run_seed, calib_seed = split_seeds(args.seed, 2)
-    # acceptance estimated on a calibration batch of --shots draws, drawn
-    # first so that a bad --shots is refused before the search runs
+    # acceptance estimated on a calibration batch of --shots draws; the cap
+    # is checked before the O(2^n) distribution is built
+    check_qubits(args.shots, MAX_SHOTS, "sample_outcomes", unit="shots")
     probs = protocol_x_distribution(SearchOracle(n=args.n, target=target))
     batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     try:

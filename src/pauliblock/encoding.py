@@ -5,11 +5,12 @@ S = 2^(-n/2) sum_alpha c_alpha Q_alpha, where Q_alpha runs over the {I, X}
 strings indexed by n-bit strings alpha.  A (1+n)-qubit density matrix rho
 with upper-right block gamma * S carries the same information at scale
 gamma; the first qubit selects the block and is called the assistant qubit.
+Encoded states are constant on XOR classes in every block and are held as
+those class values (see NdmeState).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +32,7 @@ def check_amplitudes(c) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _xor_grid(n: int) -> np.ndarray:
+def xor_grid(n: int) -> np.ndarray:
     """Index grid g[j, k] = j XOR k over 2^n basis labels."""
     idx = np.arange(2**n)
     return idx[:, None] ^ idx[None, :]
@@ -62,14 +63,14 @@ def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
 def xor_class_matrix(s: np.ndarray) -> np.ndarray:
     """Matrix M[j, k] = s[j ^ k], that is sum_delta s_delta Q_delta."""
     s = np.asarray(s, dtype=complex).reshape(-1)
-    return s[_xor_grid(num_qubits(s.size))]
+    return s[xor_grid(num_qubits(s.size))]
 
 
 def xor_class_blocks(s: np.ndarray) -> np.ndarray:
     """Matrix with blocks B_ab[j, k] = s[a, b, j ^ k], unscaled like xor_class_matrix."""
     s = np.asarray(s, dtype=complex)
     d = s.shape[2]
-    grid = _xor_grid(num_qubits(d))
+    grid = xor_grid(num_qubits(d))
     out = np.empty((2, d, 2, d), dtype=complex)
     for a, b in np.ndindex(2, 2):  # block by block, so the result is the one full-size array
         out[a, :, b] = s[a, b][grid]
@@ -77,10 +78,30 @@ def xor_class_blocks(s: np.ndarray) -> np.ndarray:
 
 
 def xor_class_sums(B: np.ndarray) -> np.ndarray:
-    """XOR-class sums s[delta] = sum_j B[j, j ^ delta] = Tr(Q_delta B) of a square matrix."""
+    """XOR-class sums s[delta] = sum_j B[j, j ^ delta] = Tr(Q_delta B) of a square matrix.
+
+    Each sum runs along a contiguous row of the gather, so numpy adds it
+    pairwise; a sum over the first axis would add sequentially and lose accuracy.
+    """
     B = np.asarray(B, dtype=complex)
     n = num_qubits(B.shape[0])
-    return B[np.arange(2**n)[None, :], _xor_grid(n)].sum(axis=1)
+    return B[np.arange(2**n)[None, :], xor_grid(n)].sum(axis=1)
+
+
+def rho_classes(rho: np.ndarray) -> np.ndarray:
+    """XOR-class values c[a, b, delta] of a (1+n)-qubit rho, read off row 0 of each block.
+
+    Raises EncodingError unless every block is XOR-class constant up to
+    rounding (1e-12), rho_ab[j, k] = c[a, b, j ^ k].
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0] // 2
+    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
+    classes = blocks[:, :, 0, :].copy()
+    resid = np.abs(blocks - classes[:, :, xor_grid(num_qubits(d))]).max()
+    if not resid <= 1e-12:  # NaN fails too
+        raise EncodingError(f"rho blocks differ from their XOR-class values by {resid:.3e}")
+    return classes
 
 
 def sector_matrix(coeffs: np.ndarray) -> np.ndarray:
@@ -122,23 +143,50 @@ def ndme_block(rho: np.ndarray) -> np.ndarray:
     return rho[:d, d:].copy()
 
 
-@dataclass(frozen=True)
 class NdmeState:
-    """A (1+n)-qubit density matrix whose upper-right block equals gamma * S."""
+    """A (1+n)-qubit density matrix whose upper-right block equals gamma * S.
 
-    n: int
-    rho: np.ndarray
-    gamma: float
+    Every state the pipelines make is XOR-class constant in each block,
+    rho_ab[j, k] = classes[a, b, j ^ k], and is held as those class values,
+    an array of shape (2, 2, 2^n); `rho` expands them on first access.  A
+    state built from a dense rho keeps that array, and `classes` reads it
+    with rho_classes on first access.  Without an explicit gamma, a class
+    state takes gamma = 2^(n/2) ||classes[0, 1]|| and a dense one the l2 norm
+    of its block coefficients; the two agree on a class-constant rho.
+    """
+
+    def __init__(self, n: int, rho=None, gamma: float | None = None, classes=None):
+        if (rho is None) == (classes is None):
+            raise ValueError("an NdmeState holds exactly one of rho and classes")
+        self.n = n
+        self._rho = rho
+        self._classes = classes
+        if gamma is None and rho is None:
+            gamma = 2.0 ** (n / 2) * float(np.linalg.norm(classes[0, 1]))
+        elif gamma is None:
+            d = rho.shape[0] // 2
+            gamma = float(np.linalg.norm(block_coefficients(rho[:d, d:])))
+        self.gamma = gamma
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            self._rho = xor_class_blocks(self._classes)
+        return self._rho
+
+    @property
+    def classes(self) -> np.ndarray:
+        if self._classes is None:
+            self._classes = rho_classes(self._rho)
+        return self._classes
 
     def block(self) -> np.ndarray:
         return ndme_block(self.rho)
 
 
 def state_from_rho(rho: np.ndarray) -> NdmeState:
-    """The NdmeState of a (1+n)-qubit rho; gamma is the l2 norm of its block coefficients."""
-    d = rho.shape[0] // 2
-    gamma = float(np.linalg.norm(block_coefficients(rho[:d, d:])))
-    return NdmeState(n=num_qubits(d), rho=rho, gamma=gamma)
+    """The NdmeState holding a (1+n)-qubit rho; gamma is the l2 norm of its block coefficients."""
+    return NdmeState(n=num_qubits(rho.shape[0] // 2), rho=rho)
 
 
 def gamma_upper_bound(c) -> float:
@@ -155,7 +203,7 @@ def encode_state_optimal(c) -> NdmeState:
     to |chi_beta|, chi = H^n c, and phi_beta = (|0> + e^{-i arg chi_beta} |1>)
     / sqrt(2) (x) H^n |beta> is XOR-class constant in each block, so it is
     written as gamma [[D, S], [S^dag, D]] with S = sector_matrix(c) and
-    D = sector_matrix(H^n |chi|).
+    D = sector_matrix(H^n |chi|), and held as the class values of those blocks.
     """
     c = check_amplitudes(c)
     n = num_qubits(c.size)
@@ -167,8 +215,8 @@ def encode_state_optimal(c) -> NdmeState:
         raise EncodingError("all Hadamard-transform coefficients vanish")
     gamma = 1.0 / (2.0 * total)
     diag = hadamard_transform(mag)
-    sums = gamma * 2.0 ** (-n / 2) * np.array([[diag, c], [c.conj(), diag]])
-    return NdmeState(n=n, rho=xor_class_blocks(sums), gamma=gamma)
+    classes = gamma * 2.0 ** (-n / 2) * np.array([[diag, c], [c.conj(), diag]])
+    return NdmeState(n=n, gamma=gamma, classes=classes)
 
 
 def decode_state(state: NdmeState, atol: float = 1e-12) -> np.ndarray:

@@ -3,8 +3,9 @@
 Amplitudes come out of X/Y-type Pauli traces on the whole density matrix,
 operator expectation values out of a swap-type trace between two encoded
 states, and both have purification-level counterparts.  All traces are
-computed exactly from the density matrix; shot sampling is an optional
-emulation layer and never the source of truth for identity tests.
+computed exactly, the amplitude traces from a state's class values and the
+others from the density matrix; shot sampling is an optional emulation
+layer and never the source of truth for identity tests.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .channels import apply_channel, pauli_channel
 from .encoding import NdmeState
 from .errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError, check_qubits
-from .paulis import PauliString, embed_operator, num_qubits, parse_bits, pauli_trace
+from .paulis import PauliString, bits_to_index, embed_operator, num_qubits, parse_bits, pauli_trace
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,22 @@ def pauli_expectation(rho: np.ndarray, p: PauliString) -> float:
 
 
 def assistant_traces(state: NdmeState, alpha) -> tuple:
-    """The measured traces (Tr((X (x) Q_alpha) rho), Tr((Y (x) Q_alpha) rho)), as floats."""
-    x_q = PauliString.from_bits((1, *parse_bits(alpha, state.n)))
-    tr_x, tr_y = (pauli_trace(state.rho, p) for p in (x_q, PauliString(1, "Y" + x_q.letters[1:])))
+    """The measured traces (Tr((X (x) Q_alpha) rho), Tr((Y (x) Q_alpha) rho)), as floats.
+
+    Read off the class values c = state.classes: X (x) Q_alpha picks 2^n
+    entries c_10[alpha] and then 2^n entries c_01[alpha] out of rho, so the
+    traces are 2^n (c_01 + c_10)[alpha] and i 2^n (c_01 - c_10)[alpha].  The
+    entries are summed as the dense trace sums them, so both traces equal
+    pauli_trace on the expanded rho to the bit, with no dense state formed.
+    """
+    a = bits_to_index(parse_bits(alpha, state.n))
+    d = 2**state.n
+    entries = np.repeat(state.classes[[1, 0], [0, 1], a], d)
+    tr_x = entries.sum()
+    tr_y = (entries * np.repeat([-1j, 1j], d)).sum()
     if max(abs(tr_x.imag), abs(tr_y.imag)) > 1e-10:
         raise ValueError("Pauli traces of a Hermitian state should be real")
-    return tr_x.real, tr_y.real
+    return float(tr_x.real), float(tr_y.real)
 
 
 def amplitude_from_traces(state: NdmeState, traces) -> complex:

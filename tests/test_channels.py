@@ -9,12 +9,14 @@ from pauliblock.channels import (
     F0_VARIANTS,
     GATE_IDS,
     KrausPairChannel,
+    _transfer_and_leak,
     apply_channel,
     cbe_operator,
     channel_from_dict,
     channel_to_dict,
     check_cptp,
     compose,
+    conjugate_pairs,
     embed_channel,
     gate_channel,
     gate_target_unitary,
@@ -23,10 +25,17 @@ from pauliblock.channels import (
     verify_po,
 )
 from pauliblock.compiler import Circuit, compile_circuit, run_program
-from pauliblock.encoding import decode_state, encode_state_optimal
-from pauliblock.errors import ChannelError, DimensionError
+from pauliblock.encoding import (
+    NdmeState,
+    decode_state,
+    encode_state_optimal,
+    state_from_rho,
+    xor_class_blocks,
+)
+from pauliblock.errors import ChannelError, DimensionError, EncodingError
 from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, I2, PauliString, X, Y, Z, bell_frame, embed_operator
+from pauliblock.search import SearchOracle, run_protocol
 from pauliblock.suites import random_circuit
 
 LIBRARY = [
@@ -383,3 +392,97 @@ def test_nan_kraus_pair_is_refused_from_the_wire():
     assert "NaN" in text  # Python's json module writes and reads it
     with pytest.raises(ChannelError):
         channel_from_dict(json.loads(text))
+
+
+def _amplitude_damping(g):
+    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]], dtype=complex)
+    a1 = np.array([[0.0, np.sqrt(g)], [0.0, 0.0]], dtype=complex)
+    return KrausPairChannel(n=1, pairs=[(a0, a0), (a1, a1)])
+
+
+def test_amplitude_damping_is_trace_preserving_but_refused_as_a_class_leak():
+    ch = _amplitude_damping(0.3)  # CPTP, so construction accepts it
+    assert check_cptp(ch) < 1e-15
+    assert _transfer_and_leak(ch.pairs)[1] > 0.1
+    rng = np.random.default_rng(3)
+    for channel in (ch, embed_channel(ch, [1], 2)):
+        st = encode_state_optimal(random_statevector(channel.n, rng))
+        with pytest.raises(ChannelError, match="XOR classes"):
+            apply_channel(channel, st)
+
+
+def test_library_and_pauli_channels_keep_the_xor_classes():
+    for gate, variant in LIBRARY:
+        assert _transfer_and_leak(gate_channel(gate, variant).pairs)[1] <= 1e-15
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        for variant in F0_VARIANTS:
+            p = PauliString(int(rng.choice([1, -1])), "".join(rng.choice(list("IXYZ"), size=n)))
+            assert _transfer_and_leak(pauli_channel(p, variant).pairs)[1] <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transfer_matches_the_dense_kernel(n):
+    # every library gate on every placement, and full-width signed Pauli channels
+    rng = np.random.default_rng(20 + n)
+    state = encode_state_optimal(random_statevector(n, rng))
+    channels = []
+    for gate, variant in LIBRARY:
+        base = gate_channel(gate, variant)
+        if base.n <= n:
+            qubits = [int(q) for q in rng.permutation(n)[: base.n]]
+            channels.append(embed_channel(base, qubits, n))
+    for variant in F0_VARIANTS:
+        letters = "".join(rng.choice(list("IXYZ"), size=n))
+        channels.append(pauli_channel(PauliString(-1, letters), variant))
+    for ch in channels:
+        out = apply_channel(ch, state)
+        want = conjugate_pairs(state.rho, np.array(ch.pairs), ch.qubits)
+        assert np.abs(out.rho - want).max() <= 1e-15
+        assert abs(out.gamma - state_from_rho(want).gamma) <= 1e-15
+
+
+def test_transfer_is_computed_on_first_use_once_per_base(monkeypatch):
+    import pauliblock.channels as channels
+    from pauliblock.lindblad import build_jumps, parse_hamiltonian
+
+    calls = []
+    real = channels._transfer_and_leak
+    monkeypatch.setattr(channels, "_transfer_and_leak", lambda pairs: calls.append(1) or real(pairs))
+    build_jumps(parse_hamiltonian("qubits 2\n1.0 -ZZ\n1.0 -XX\n0.5 +XI\n"))
+    assert calls == []  # none at construction
+    rng = np.random.default_rng(5)
+    circ = random_circuit(rng, 5, k=3, extra_gates=27)
+    prog = compile_circuit(circ)
+    assert calls == []
+    run_program(prog, encode_state_optimal(random_statevector(5, rng)))
+    assert 1 <= len(calls) <= len({name for name, _ in circ.gates}) <= 4
+    run_program(prog, encode_state_optimal(random_statevector(5, rng)))
+    assert len(calls) <= 4
+
+
+def test_dense_held_states_keep_their_array_and_read_their_classes():
+    n = 2
+    d = 2**n
+    st0 = encode_state_optimal(random_statevector(n, np.random.default_rng(6)))
+    protocol = run_protocol(SearchOracle(n=n, target="10"))
+    for rho in (np.eye(2 * d) / (2 * d), protocol, 2 * st0.rho):
+        st = NdmeState(n=n, rho=rho, gamma=0.0)
+        assert st.rho is rho
+        assert np.array_equal(xor_class_blocks(st.classes), rho)
+        assert state_from_rho(rho).rho is rho
+        ch = embed_channel(gate_channel("HSH"), [1], n)
+        want = conjugate_pairs(rho, np.array(ch.pairs), ch.qubits)
+        assert np.abs(apply_channel(ch, st).rho - want).max() <= 1e-15
+
+
+def test_a_rho_off_the_xor_classes_has_no_class_values():
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+    st = state_from_rho(rho)
+    assert st.rho is rho and st.gamma > 0
+    with pytest.raises(EncodingError, match="XOR-class"):
+        st.classes
+    with pytest.raises(EncodingError):
+        apply_channel(gate_channel("H"), st)

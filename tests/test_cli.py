@@ -580,6 +580,16 @@ def test_lindblad_dt_audit_refines_a_step_rk4_cannot_take(tmp_path, capsys):
     assert ratio is not None and np.isfinite(ratio)
 
 
+def test_lindblad_dt_audit_ratio_reads_fourth_order_on_a_stiff_rate(tmp_path, capsys):
+    # the coarse step keeps 2 dt sum(lambda) <= 0.5; at the stability edge the ratio read 7245407
+    path = tmp_path / "stiff.txt"
+    path.write_text("qubits 1\n20.0 +X\n")
+    argv = ["lindblad", "--hamiltonian", str(path), "--t-max", "0.5", "--dt", "1e-3"]
+    code, out, _ = run_cli(argv + ["--tolerance", "1e-3", "--dt-audit"], capsys)
+    assert code == 0
+    assert 10 <= json.loads(out)["dt_audit_ratio"] <= 22
+
+
 def test_lindblad_dt_audit_shares_one_eigensolve(tmp_path, capsys, monkeypatch):
     path = tmp_path / "frus.txt"
     path.write_text(FRUSTRATED)

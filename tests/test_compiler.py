@@ -220,3 +220,24 @@ def test_old_full_width_dump_loads_and_runs_to_the_same_rho():
     b = run_program(back, st)
     assert np.abs(a.rho - b.rho).max() <= 1e-15
     assert a.gamma == pytest.approx(b.gamma, abs=1e-15)
+
+
+def test_circuit_path_forms_no_dense_state():
+    import tracemalloc
+
+    n = 9  # a dense rho is 4 MB, one Kraus-conjugated copy of it more
+    rng = np.random.default_rng(12)
+    text = "qubits 9\n" + "".join(
+        f"{name} {' '.join(map(str, qubits))}\n"
+        for name, qubits in random_circuit(rng, n, k=3, extra_gates=27).gates
+    )
+    tracemalloc.start()
+    try:
+        prog = compile_circuit(parse_circuit(text))
+        out = run_program(prog, encode_state_optimal(np.full(2**n, 2.0 ** (-n / 2))))
+        amps = [amplitude_via_pauli(out, alpha) for alpha in ("0" * n, "1" * n)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prog.channels) == 30 and peak < 1 << 20
+    assert all(np.isfinite(a) for a in amps)

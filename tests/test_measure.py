@@ -311,3 +311,24 @@ def test_oracle_verification_trace_equals_the_old_gather_exactly(n):
         x_q = PauliString.from_bits(f"1{a:0{n}b}")
         out = oracle_apply(orc, (np.eye(2 * d) + 0.7 * x_q.matrix()) / (2 * d))
         assert pauli_trace(out, x_q).real == out[idx ^ (d + a), idx].sum().real
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_traces_from_class_values_match_pauli_trace_on_the_expanded_rho(n):
+    from pauliblock.compiler import compile_circuit, run_program
+    from pauliblock.suites import random_circuit
+
+    rng = np.random.default_rng(90 + n)
+    encoded = encode_state_optimal(random_statevector(n, rng))
+    ran = run_program(compile_circuit(random_circuit(rng, n, k=2)), encoded)
+    for state in (encoded, ran):
+        rho = NdmeState(n=n, classes=state.classes, gamma=state.gamma).rho  # a fresh expansion
+        for a in range(2**n):
+            alpha = f"{a:0{n}b}"
+            x_q = PauliString.from_bits("1" + alpha)
+            y_q = PauliString(1, "Y" + x_q.letters[1:])
+            want = (pauli_trace(rho, x_q).real, pauli_trace(rho, y_q).real)
+            assert assistant_traces(state, alpha) == want
+        d = 2**n
+        # ||B||_F^2 = sum_jk |c_01[j ^ k]|^2 = 2^n ||c_01||^2, so gamma is the block's Frobenius norm
+        assert state.gamma == pytest.approx(np.linalg.norm(rho[:d, d:]), abs=1e-15)
