@@ -195,27 +195,32 @@ def _transfer_and_leak(pairs) -> tuple:
     return transfer, leak
 
 
-def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
-    """Apply the channel to an encoded state's class values by its local class transfer.
+def class_transfer(ch: KrausPairChannel) -> np.ndarray:
+    """The (2, 2, local, local) class transfer, cached on first use for the base and its lifts.
 
-    A block sum_delta c[delta] Q_delta maps to sum_eps (T c)[eps] Q_eps, one
-    local class index at a time, so the class values are transposed to put
-    the channel's qubits first, multiplied by the (2, 2, local, local)
-    transfer and transposed back.  The transfer is computed on the
-    channel's first use and shared with every lift of its base; a channel
-    whose leak is above rounding (1e-12) does not keep blocks XOR-class
-    constant, has no action on class values and raises ChannelError.  The
-    output gamma is 2^(n/2) ||c_01||, which equals eta * gamma_in * ||V psi||
-    whenever the channel block-encodes an operator V.
+    A leak above rounding (1e-12) means no action on class values: ChannelError.
     """
-    if state.n != ch.n:
-        raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
     if "T" not in ch._transfer:  # first use of this channel or of the base it lifts
         transfer, leak = _transfer_and_leak(ch.pairs)
         if not leak <= 1e-12:  # NaN fails too
             raise ChannelError(f"channel moves weight {leak:.3e} off the XOR classes")
         ch._transfer["T"] = transfer
-    transfer = ch._transfer["T"]
+    return ch._transfer["T"]
+
+
+def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
+    """Apply the channel to an encoded state's class values by its local class transfer.
+
+    A block sum_delta c[delta] Q_delta maps to sum_eps (T c)[eps] Q_eps, one
+    local class index at a time, so the class values are transposed to put
+    the channel's qubits first, multiplied by class_transfer(ch) and
+    transposed back.  The output gamma is 2^(n/2) ||c_01||, which equals
+    eta * gamma_in * ||V psi|| whenever the channel block-encodes an
+    operator V.
+    """
+    if state.n != ch.n:
+        raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
+    transfer = class_transfer(ch)
     n = ch.n
     axes = (0, 1) + tuple(2 + q for q in ch.qubits)
     axes += tuple(2 + q for q in range(n) if q not in ch.qubits)
@@ -336,19 +341,6 @@ def gate_target_unitary(gate: str) -> np.ndarray:
         hh = np.kron(HADAMARD, HADAMARD)
         return hh @ CNOT @ hh
     raise ValueError(f"unknown gate {gate!r}")
-
-
-def compose(first: KrausPairChannel, then: KrausPairChannel) -> KrausPairChannel:
-    """Sequential composition; pair products multiply, eta multiplies."""
-    if first.n != then.n or first.qubits != then.qubits:
-        raise DimensionError("cannot compose channels on different qubits")
-    pairs = [
-        (K2 @ K1, L2 @ L1)
-        for K1, L1 in first.pairs
-        for K2, L2 in then.pairs
-    ]
-    eta = None if first.eta is None or then.eta is None else first.eta * then.eta
-    return KrausPairChannel(n=first.n, pairs=pairs, eta=eta, qubits=first.qubits)
 
 
 def embed_channel(ch: KrausPairChannel, qubits, n: int) -> KrausPairChannel:

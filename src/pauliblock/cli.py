@@ -26,7 +26,7 @@ from .compiler import (
     program_to_dict,
     run_program,
 )
-from .encoding import encode_state_optimal, s_from_amplitudes
+from .encoding import class_trace, encode_state_optimal, s_from_amplitudes
 from .errors import MAX_SHOTS, STATE_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
     coherence_steadiness,
@@ -200,7 +200,7 @@ def cmd_lindblad(args) -> int:
             for i, t in enumerate(traj.times):
                 coh = repr(coherence_vals[i]) if coherence_vals else ""
                 fh.write(
-                    f"{repr(float(t))},{repr(float(np.trace(traj.states[i].rho).real))},"
+                    f"{repr(float(t))},{repr(float(class_trace(traj.states[i].classes).real))},"
                     f"{repr(float(traj.block_norms[i]))},{coh}\n"
                 )
     _emit(report, args.format)

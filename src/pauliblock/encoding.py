@@ -88,6 +88,11 @@ def xor_class_sums(B: np.ndarray) -> np.ndarray:
     return B[np.arange(2**n)[None, :], xor_grid(n)].sum(axis=1)
 
 
+def class_trace(c: np.ndarray) -> complex:
+    """Tr(rho) of the state with class values c: 2^n (c_00[0] + c_11[0])."""
+    return c.shape[2] * (c[0, 0, 0] + c[1, 1, 0])
+
+
 def rho_classes(rho: np.ndarray) -> np.ndarray:
     """XOR-class values c[a, b, delta] of a (1+n)-qubit rho, read off row 0 of each block.
 

@@ -12,7 +12,6 @@ REFERENCE_QUBITS = 6  # dense brute-force references (ITE, Bell frame, eigensolv
 OPERATOR_QUBITS = 8  # dense n-qubit operators: circuit unitaries, Pauli decompositions
 CBE_QUBITS = 4  # dense block-encoding operators on 2n qubits
 KRAUS_SUM_QUBITS = 3  # the search oracle's literal 4^n-term Kraus sum
-SCAN_QUBITS = 4  # exhaustive readout over all 2^n candidate targets
 SWAP_QUBITS = 4  # the swap trace's three dense 16^(n+1)-entry operators
 MAX_SHOTS = 10**6  # finite-shot draws in one call, about 42 MB of outcomes at n = 3
 MAX_STEPS = 10**6  # RK4 steps in one Lindblad run

@@ -4,11 +4,11 @@ Each Hamiltonian term lambda_i P_i becomes the jump F_i = diag(K_i, L_i)
 whose pair (K_i, L_i) is the identity-variant Pauli channel of -P_i, the
 same channel the gate library builds: the Bell-frame conjugation of
 K_i (x) conj(L_i) equals -I (x) P_i.  Since every F_i is unitary, the
-dissipator reduces to sum_i lambda_i (F_i rho F_i^dag - rho), which the
-gate kernel (channels.conjugate_pairs) evaluates in one call on the pairs
-scaled by sqrt(lambda_i).  The upper-right block then evolves exactly as
-the unnormalized flow d psi/dt = (-H_p - sum lambda_i) psi of the decoded
-state.
+dissipator sum_i lambda_i (F_i rho F_i^dag - rho) is Lambda (C(rho) - rho):
+Lambda = sum_i lambda_i and C is the Pauli mixture with pairs
+sqrt(lambda_i / Lambda) (K_i, L_i), which evolve applies to class values by
+the gate kernel's class transfer.  The upper-right block then evolves as
+the unnormalized flow d psi/dt = (-H_p - sum lambda_i) psi.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import conjugate_pairs, pauli_channel, verify_po
-from .encoding import NdmeState, block_coefficients, ndme_block, sector_matrix, state_from_rho
+from .channels import KrausPairChannel, class_transfer, conjugate_pairs, pauli_channel, verify_po
+from .encoding import NdmeState, class_trace, xor_class_sums
 from .errors import (
     MAX_SNAPSHOT_BYTES,
     MAX_STEPS,
@@ -95,11 +95,13 @@ class JumpSet:
     jumps: tuple  # of (lambda_i, KrausPairChannel with the single pair (K_i, L_i))
 
     @cached_property
-    def weighted_pairs(self) -> np.ndarray:
-        """Every jump pair scaled by sqrt(lambda_i), stacked as (term, 2, d, d)."""
-        d = 2**self.n
-        scaled = [np.sqrt(lam) * np.array(ch.pairs) for lam, ch in self.jumps]
-        return np.array(scaled, dtype=complex).reshape(-1, 2, d, d)
+    def mixture(self) -> KrausPairChannel:
+        """The Pauli mixture C with pairs sqrt(lambda_i / Lambda) (K_i, L_i); the identity at Lambda = 0."""
+        rate = self.rate_sum()
+        if rate == 0.0:
+            return KrausPairChannel(n=self.n, pairs=[(np.eye(2**self.n, dtype=complex),) * 2])
+        pairs = [np.sqrt(lam / rate) * np.array(pair) for lam, ch in self.jumps for pair in ch.pairs]
+        return KrausPairChannel(n=self.n, pairs=pairs)
 
     def rate_sum(self) -> float:
         return float(sum(lam for lam, _ in self.jumps))
@@ -132,11 +134,11 @@ def validate_jumps(jumps: JumpSet, h: PauliHamiltonian) -> float:
 
 
 def lindblad_rhs(rho: np.ndarray, jumps: JumpSet) -> np.ndarray:
-    """sum_i lambda_i (F_i rho F_i^dag - rho) as one conjugation of the scaled pairs."""
+    """Lambda (C(rho) - rho) for any dense rho, one conjugate_pairs call: evolve's reference."""
     if rho.shape[0] != 2 ** (jumps.n + 1):
         raise DimensionError(f"state dimension {rho.shape[0]} does not match jumps")
-    dissipated = conjugate_pairs(rho, jumps.weighted_pairs, tuple(range(jumps.n)))
-    return dissipated - jumps.rate_sum() * rho
+    dissipated = conjugate_pairs(rho, np.array(jumps.mixture.pairs), tuple(range(jumps.n)))
+    return jumps.rate_sum() * (dissipated - rho)
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,10 @@ def evolve(
     dt: float = 1e-3,
     record_every: int = 1,
 ) -> Trajectory:
-    """Fixed-step classical RK4 integration of the dissipator.
+    """Fixed-step classical RK4 integration of the dissipator on class values.
+
+    One RK4 step per dt of c' = G c with G = Lambda (T - 1), T the class
+    transfer of jumps.mixture; every snapshot is a class state.
 
     dt, t_max and their ratio must be finite, and t_max a whole number of
     steps (to a relative 1e-9), so the trajectory ends exactly at t_max.
@@ -183,7 +188,7 @@ def evolve(
         raise ValueError(f"t_max={t_max} is not a whole number of steps of dt={dt}")
     if steps > MAX_STEPS:
         raise ValueError(f"a run is capped at {MAX_STEPS} steps, got {steps}")
-    kept = (1 + -(-steps // record_every)) * 16 * 4 ** (jumps.n + 1)  # complex snapshots
+    kept = (1 + -(-steps // record_every)) * 64 * 2**jumps.n  # complex class values
     if kept > MAX_SNAPSHOT_BYTES:
         raise ValueError(f"snapshots are capped at {MAX_SNAPSHOT_BYTES} bytes, got {kept}")
     rate_sum = jumps.rate_sum()
@@ -192,28 +197,25 @@ def evolve(
             f"dt={dt} is unstable for rate sum {rate_sum}: RK4 needs"
             f" 2 * dt * rate sum <= {RK4_STABILITY_LIMIT}"
         )
-    d = 2**jumps.n
-    rho = state0.rho.astype(complex).copy()
-
+    n = jumps.n
+    generator = rate_sum * (class_transfer(jumps.mixture) - np.eye(2**n))
+    c = state0.classes.astype(complex)[..., None]  # (2, 2, 2^n, 1) columns
     times = [0.0]
     states = [state0]
-    norms = [float(np.linalg.norm(state0.block()))]
     for step in range(1, steps + 1):
-        k1 = lindblad_rhs(rho, jumps)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, jumps)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, jumps)
-        k4 = lindblad_rhs(rho + dt * k3, jumps)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = abs(np.trace(rho) - 1.0)
+        k1 = generator @ c
+        k2 = generator @ (c + 0.5 * dt * k1)
+        k3 = generator @ (c + 0.5 * dt * k2)
+        k4 = generator @ (c + dt * k3)
+        c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = abs(class_trace(c[..., 0]) - 1.0)
         if drift > 1e-6:
             raise IntegratorError(f"trace drifted by {drift:.3e} at step {step}")
         if step % record_every == 0 or step == steps:
             times.append(step * dt)
-            states.append(state_from_rho(rho.copy()))
-            norms.append(float(np.linalg.norm(rho[:d, d:])))
-    return Trajectory(
-        times=np.array(times), states=states, block_norms=np.array(norms)
-    )
+            states.append(NdmeState(n=n, classes=c[..., 0]))
+    norms = [2.0 ** (n / 2) * np.linalg.norm(s.classes[0, 1]) for s in states]
+    return Trajectory(times=np.array(times), states=states, block_norms=np.array(norms))
 
 
 def ite_reference(psi0, h: PauliHamiltonian, t: float) -> np.ndarray:
@@ -234,11 +236,12 @@ def ite_block_residual(
     against gamma0 * S(ite_reference(c0, h, t))) over the recorded times.
     """
     traj = evolve(state0, build_jumps(h), t_max=t_max, dt=dt, record_every=record_every)
-    c0 = block_coefficients(state0.block()) / state0.gamma
+    scale = 2.0 ** (h.n / 2)
+    c0 = scale * state0.classes[0, 1] / state0.gamma
     worst = 0.0
     for t, snap in zip(traj.times, traj.states):
-        want = state0.gamma * sector_matrix(ite_reference(c0, h, t))
-        worst = max(worst, float(np.abs(ndme_block(snap.rho) - want).max()))
+        want = state0.gamma * (ite_reference(c0, h, t) / scale)
+        worst = max(worst, float(np.abs(snap.classes[0, 1] - want).max()))
     return traj, worst
 
 
@@ -256,10 +259,9 @@ def decay_rate_fit(trajectory: Trajectory, t_min: float) -> float:
 
 
 def coherence_values(trajectory: Trajectory, O: np.ndarray) -> np.ndarray:
-    """Tr(rho_t (X (x) O)), the entrywise sum of (rho_01 + rho_10) * O^T, at every snapshot."""
-    O_t = np.asarray(O, dtype=complex).T
-    d = len(O_t)
-    return np.array([((s.rho[:d, d:] + s.rho[d:, :d]) * O_t).sum() for s in trajectory.states])
+    """Tr(rho_t (X (x) O)) = sum_delta (c_01 + c_10)[delta] Tr(Q_delta O) at every snapshot."""
+    traces = xor_class_sums(O)
+    return np.array([(s.classes[0, 1] + s.classes[1, 0]) @ traces for s in trajectory.states])
 
 
 def coherence_steadiness(trajectory: Trajectory, O: np.ndarray) -> float:

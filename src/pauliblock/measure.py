@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_channel, pauli_channel
 from .encoding import NdmeState
 from .errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError, check_qubits
 from .paulis import PauliString, bits_to_index, embed_operator, num_qubits, parse_bits, pauli_trace
@@ -125,12 +124,6 @@ def expectation_via_swap(state: NdmeState, state1: NdmeState) -> complex:
     observable = embed_operator(np.kron(ket01, ket10), [0, n + 1], total)
     observable = observable @ embed_operator(_swap_matrix(n), enc_qubits, total)
     return complex(np.trace(observable @ np.kron(state.rho, state1.rho)))
-
-
-def pauli_pair_expectation(state: NdmeState, p: PauliString) -> complex:
-    """Convenience wrapper: push state through the Pauli channel, take the swap trace."""
-    state1 = apply_channel(pauli_channel(p, "identity"), state)
-    return expectation_via_swap(state, state1)
 
 
 def hle_identity_check(state: NdmeState, alpha) -> float:

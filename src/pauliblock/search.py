@@ -26,7 +26,6 @@ from .encoding import block_coefficients, hadamard_transform, xor_class_blocks, 
 from .errors import (
     KRAUS_SUM_QUBITS,
     MAX_SHOTS,
-    SCAN_QUBITS,
     STATE_QUBITS,
     VECTOR_QUBITS,
     DimensionError,
@@ -261,22 +260,6 @@ def extract_target(batch: SampleBatch):
     A = rows[:, 1:]
     b = rows[:, 0]
     return gf2_solve(A, b)
-
-
-def scan_all_targets(outcomes: np.ndarray, n: int) -> np.ndarray:
-    """Exhaustive readout: score every candidate string on the raw samples.
-
-    The parity statistic of the planted string concentrates at +1/2 while
-    every other candidate concentrates at 0, so the argmax identifies the
-    target from O(1) samples at the price of 2^n postprocessing.
-    Test-scale only (n <= SCAN_QUBITS).
-    """
-    check_qubits(n, SCAN_QUBITS, "scan_all_targets")
-    outcomes = np.asarray(outcomes, dtype=np.uint8)
-    candidates = _indices_to_bits(np.arange(2**n), n)
-    parity = (outcomes[:, :1] + outcomes[:, 1:] @ candidates.T) % 2
-    scores = 1.0 - 2.0 * parity.mean(axis=0)
-    return candidates[int(np.argmax(scores))]
 
 
 def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):

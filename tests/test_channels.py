@@ -15,7 +15,6 @@ from pauliblock.channels import (
     channel_from_dict,
     channel_to_dict,
     check_cptp,
-    compose,
     conjugate_pairs,
     embed_channel,
     gate_channel,
@@ -37,6 +36,20 @@ from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, I2, PauliString, X, Y, Z, bell_frame, embed_operator
 from pauliblock.search import SearchOracle, run_protocol
 from pauliblock.suites import random_circuit
+
+
+def compose(first: KrausPairChannel, then: KrausPairChannel) -> KrausPairChannel:
+    """Sequential composition; pair products multiply, eta multiplies."""
+    if first.n != then.n or first.qubits != then.qubits:
+        raise DimensionError("cannot compose channels on different qubits")
+    pairs = [
+        (K2 @ K1, L2 @ L1)
+        for K1, L1 in first.pairs
+        for K2, L2 in then.pairs
+    ]
+    eta = None if first.eta is None or then.eta is None else first.eta * then.eta
+    return KrausPairChannel(n=first.n, pairs=pairs, eta=eta, qubits=first.qubits)
+
 
 LIBRARY = [
     ("X", "projector"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pauliblock import lindblad, oracle
+from pauliblock import encoding, lindblad, oracle
 from pauliblock.encoding import (
     NdmeState,
     block_coefficients,
@@ -385,14 +385,61 @@ def test_evolve_refuses_runs_beyond_the_step_cap():
         evolve(state0, jumps, t_max=(MAX_STEPS + 1) * dt, dt=dt)
 
 
-def test_evolve_refuses_snapshots_beyond_the_memory_cap():
-    # n = 6 snapshots hold 16 * 4^7 bytes each; 5001 of them exceed 1 GiB
+def _refuse_steps(*args):
+    raise AssertionError("a step was taken")
+
+
+def test_evolve_refuses_snapshots_beyond_the_memory_cap(monkeypatch):
+    # n = 6 snapshots hold 4 * 2^6 complex class values, 64 * 2^6 bytes each;
+    # MAX_STEPS + 1 of them exceed 1 GiB
+    monkeypatch.setattr(lindblad, "class_transfer", _refuse_steps)
     n = 6
     state0 = encode_state_optimal(np.full(2**n, 2.0 ** (-n / 2)))
     jumps = build_jumps(parse_hamiltonian(f"qubits {n}\n1.0 -{'Z' * n}\n"))
-    assert 5001 * 16 * 4 ** (n + 1) > MAX_SNAPSHOT_BYTES
+    dt = 1e-3
+    assert (MAX_STEPS + 1) * 64 * 2**n > MAX_SNAPSHOT_BYTES
     with pytest.raises(ValueError, match="snapshots are capped"):
-        evolve(state0, jumps, t_max=5.0, dt=1e-3, record_every=1)
+        evolve(state0, jumps, t_max=MAX_STEPS * dt, dt=dt, record_every=1)
+
+
+def test_evolve_counts_snapshots_at_the_class_size():
+    # 5001 dense n = 6 snapshots (16 * 4^7 bytes each) would exceed 1 GiB;
+    # as class values they hold 20 MB, and the run completes
+    n = 6
+    state0 = encode_state_optimal(np.full(2**n, 2.0 ** (-n / 2)))
+    jumps = build_jumps(parse_hamiltonian(f"qubits {n}\n1.0 -{'Z' * n}\n"))
+    assert 5001 * 16 * 4 ** (n + 1) > MAX_SNAPSHOT_BYTES >= 5001 * 64 * 2**n
+    traj = evolve(state0, jumps, t_max=5.0, dt=1e-3, record_every=1)
+    assert len(traj.states) == 5001 and traj.times[-1] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("text", ["qubits 1\n0.0 +X\n", None], ids=["zero-weight", "no-jumps"])
+def test_zero_total_rate_keeps_every_state(text):
+    jumps = JumpSet(n=1, jumps=()) if text is None else build_jumps(parse_hamiltonian(text))
+    assert jumps.rate_sum() == 0.0
+    st = encode_state_optimal([0.6, 0.8])
+    traj = evolve(st, jumps, t_max=0.5, dt=0.01, record_every=10)
+    assert len(traj.states) == 6
+    for snap in traj.states:
+        assert np.array_equal(snap.classes, st.classes)
+    assert np.array_equal(traj.block_norms, np.full(6, traj.block_norms[0]))
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert np.array_equal(lindblad_rhs(m @ m.conj().T, jumps), np.zeros((4, 4)))
+
+
+def test_lindblad_readers_form_no_dense_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense state was formed")
+
+    monkeypatch.setattr(encoding, "xor_class_blocks", refuse)
+    h = parse_hamiltonian(FRUSTRATED)
+    st = encode_state_optimal(np.array([1, 1]) / np.sqrt(2))
+    traj = evolve(st, build_jumps(h), t_max=2.0, dt=1e-2, record_every=10)
+    _, residual = ite_block_residual(st, h, 2.0, 1e-2, 10)
+    assert residual < 1e-6
+    assert np.isfinite(coherence_values(traj, X)).all()
+    assert decay_rate_fit(traj, 1.0) == pytest.approx(2 - np.sqrt(2), rel=0.05)
 
 
 def test_coherence_values_match_dense_trace():
@@ -474,10 +521,7 @@ def test_spectrum_is_read_only_and_size_checked_before_the_matrix(monkeypatch):
 
 @pytest.mark.parametrize("record_every", [0, -5, 2.5])
 def test_evolve_refuses_a_record_every_that_is_not_a_positive_integer(monkeypatch, record_every):
-    def refuse(*args):
-        raise AssertionError("a step was taken")
-
-    monkeypatch.setattr(lindblad, "lindblad_rhs", refuse)
+    monkeypatch.setattr(lindblad, "class_transfer", _refuse_steps)
     jumps = build_jumps(parse_hamiltonian(FRUSTRATED))
     with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
         evolve(encode_state_optimal([1, 0]), jumps, t_max=0.1, dt=0.01, record_every=record_every)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pauliblock.channels import apply_channel, pauli_channel
 from pauliblock.encoding import NdmeState, encode_state_optimal
 from pauliblock.errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError
 from pauliblock.measure import (
@@ -12,7 +13,6 @@ from pauliblock.measure import (
     expectation_via_swap,
     hle_identity_check,
     pauli_expectation,
-    pauli_pair_expectation,
     sample_pauli,
 )
 from pauliblock.oracle import random_statevector
@@ -100,17 +100,18 @@ def test_swap_expectation_fixtures():
     n = 2
     st = encode_state_optimal(_plus(n))
     p = PauliString(1, "XI")
-    value = pauli_pair_expectation(st, p)
+    value = expectation_via_swap(st, apply_channel(pauli_channel(p, "identity"), st))
     assert value.real == pytest.approx(st.gamma**2, abs=1e-12)  # <+|X|+> = 1
     assert abs(value.imag) < 1e-12
 
     ident = PauliString(1, "II")
-    assert pauli_pair_expectation(st, ident).real == pytest.approx(st.gamma**2, abs=1e-12)
+    value = expectation_via_swap(st, apply_channel(pauli_channel(ident, "identity"), st))
+    assert value.real == pytest.approx(st.gamma**2, abs=1e-12)
 
     e0 = np.zeros(2**n)
     e0[0] = 1.0
     st0 = encode_state_optimal(e0)
-    value = pauli_pair_expectation(st0, PauliString(1, "ZI"))
+    value = expectation_via_swap(st0, apply_channel(pauli_channel(PauliString(1, "ZI"), "identity"), st0))
     assert value.real / st0.gamma**2 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -122,7 +123,7 @@ def test_swap_expectation_random_states():
             st = encode_state_optimal(c)
             letters = "".join(rng.choice(list("IXYZ"), n))
             p = PauliString(1 if rng.random() < 0.5 else -1, letters)
-            value = pauli_pair_expectation(st, p)
+            value = expectation_via_swap(st, apply_channel(pauli_channel(p, "identity"), st))
             want = (c.conj() @ p.matrix() @ c).real
             assert value.real / st.gamma**2 == pytest.approx(want, abs=1e-10)
             assert abs(value.imag) < 1e-10

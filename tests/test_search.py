@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pauliblock.encoding import xor_class_matrix, xor_class_sums
-from pauliblock.errors import MAX_SHOTS, VECTOR_QUBITS, DimensionError, SearchFailure
+from pauliblock.errors import MAX_SHOTS, VECTOR_QUBITS, DimensionError, SearchFailure, check_qubits
 from pauliblock.paulis import HADAMARD, PauliString, X, kron_all
 from pauliblock.search import (
     SearchOracle,
+    _indices_to_bits,
     _oracle_sums,
     _protocol_sums,
     bits_to_index,
@@ -24,10 +25,27 @@ from pauliblock.search import (
     run_protocol,
     sample_outcomes,
     sample_x_basis,
-    scan_all_targets,
     x_basis_probabilities,
 )
 from pauliblock.suites import search_suite
+
+SCAN_QUBITS = 4  # exhaustive readout over all 2^n candidate targets
+
+
+def scan_all_targets(outcomes: np.ndarray, n: int) -> np.ndarray:
+    """Exhaustive readout: score every candidate string on the raw samples.
+
+    The parity statistic of the planted string concentrates at +1/2 while
+    every other candidate concentrates at 0, so the argmax identifies the
+    target from O(1) samples at the price of 2^n postprocessing.
+    Test-scale only (n <= SCAN_QUBITS).
+    """
+    check_qubits(n, SCAN_QUBITS, "scan_all_targets")
+    outcomes = np.asarray(outcomes, dtype=np.uint8)
+    candidates = _indices_to_bits(np.arange(2**n), n)
+    parity = (outcomes[:, :1] + outcomes[:, 1:] @ candidates.T) % 2
+    scores = 1.0 - 2.0 * parity.mean(axis=0)
+    return candidates[int(np.argmax(scores))]
 
 
 def _q_matrix(alpha, n):
