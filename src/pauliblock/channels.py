@@ -74,17 +74,18 @@ class KrausPairChannel:
 
     The pairs act on the encoding qubits named by `qubits` (all n, in order,
     when omitted), so each K_i and L_i is 2^len(qubits) square.  Building
-    one checks the qubits and pair shapes and runs check_cptp at that local
-    dimension, so every channel that exists is trace preserving and
-    applying it needs no further check.  Its class transfer is computed on
-    first use (see apply_channel) and shared with every lift of it.
+    one checks the qubits and pair shapes, runs check_cptp at that local
+    dimension and computes the (2, 2, local, local) class transfer, so every
+    channel that exists is trace preserving, keeps the XOR classes and needs
+    no further check to be applied.  A leak above rounding (1e-12) off the
+    classes raises ChannelError.  Every lift shares the base's transfer.
     """
 
     n: int
     pairs: tuple
     eta: float | None = None
     qubits: tuple | None = None
-    _transfer: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.qubits is None:
@@ -101,6 +102,10 @@ class KrausPairChannel:
                     f" got {np.shape(K)} and {np.shape(L)}"
                 )
         check_cptp(self)
+        transfer, leak = _transfer_and_leak(self.pairs)
+        if not leak <= 1e-12:  # NaN fails too
+            raise ChannelError(f"channel moves weight {leak:.3e} off the XOR classes")
+        object.__setattr__(self, "transfer", transfer)
 
 
 def _checked_qubits(qubits, n: int) -> tuple:
@@ -195,37 +200,23 @@ def _transfer_and_leak(pairs) -> tuple:
     return transfer, leak
 
 
-def class_transfer(ch: KrausPairChannel) -> np.ndarray:
-    """The (2, 2, local, local) class transfer, cached on first use for the base and its lifts.
-
-    A leak above rounding (1e-12) means no action on class values: ChannelError.
-    """
-    if "T" not in ch._transfer:  # first use of this channel or of the base it lifts
-        transfer, leak = _transfer_and_leak(ch.pairs)
-        if not leak <= 1e-12:  # NaN fails too
-            raise ChannelError(f"channel moves weight {leak:.3e} off the XOR classes")
-        ch._transfer["T"] = transfer
-    return ch._transfer["T"]
-
-
 def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
     """Apply the channel to an encoded state's class values by its local class transfer.
 
     A block sum_delta c[delta] Q_delta maps to sum_eps (T c)[eps] Q_eps, one
     local class index at a time, so the class values are transposed to put
-    the channel's qubits first, multiplied by class_transfer(ch) and
-    transposed back.  The output gamma is 2^(n/2) ||c_01||, which equals
+    the channel's qubits first, multiplied by ch.transfer and transposed
+    back.  The output gamma is 2^(n/2) ||c_01||, which equals
     eta * gamma_in * ||V psi|| whenever the channel block-encodes an
     operator V.
     """
     if state.n != ch.n:
         raise DimensionError(f"channel n={ch.n} does not match state n={state.n}")
-    transfer = class_transfer(ch)
     n = ch.n
     axes = (0, 1) + tuple(2 + q for q in ch.qubits)
     axes += tuple(2 + q for q in range(n) if q not in ch.qubits)
     lead = state.classes.reshape((2, 2) + (2,) * n).transpose(axes)
-    out = transfer @ lead.reshape(2, 2, transfer.shape[-1], -1)
+    out = ch.transfer @ lead.reshape(2, 2, 2 ** len(ch.qubits), -1)
     out = out.reshape((2, 2) + (2,) * n).transpose(np.argsort(axes)).reshape(2, 2, 2**n)
     return NdmeState(n=n, classes=out)
 
@@ -349,15 +340,15 @@ def embed_channel(ch: KrausPairChannel, qubits, n: int) -> KrausPairChannel:
     Qubit j of ch becomes qubits[j].  The checked pairs are kept as they are
     and only the qubit labels change, so the lift is not checked again: its
     Kraus sums on the n qubits are the base sums tensored with the identity.
-    The lift shares the base's class transfer, so a program computes one per
-    library gate.
+    The lift shares the base's class transfer array, so a program computes
+    one per library gate.
     """
     qubits = _checked_qubits(qubits, n)
     if len(qubits) != ch.n:
         raise DimensionError(f"need {ch.n} qubit indices, got {list(qubits)}")
     lifted = object.__new__(KrausPairChannel)
     placed = tuple(qubits[q] for q in ch.qubits)
-    fields = (("n", n), ("pairs", ch.pairs), ("eta", ch.eta), ("qubits", placed), ("_transfer", ch._transfer))
+    fields = (("n", n), ("pairs", ch.pairs), ("eta", ch.eta), ("qubits", placed), ("transfer", ch.transfer))
     for name, value in fields:
         object.__setattr__(lifted, name, value)
     return lifted
@@ -396,7 +387,7 @@ def channel_from_dict(data: dict) -> KrausPairChannel:
     """Inverse of channel_to_dict; a missing "qubits" means all n qubits.
 
     Bad qubits or matrix sizes raise DimensionError, a non-trace-preserving
-    channel ChannelError.
+    channel or one that leaks off the XOR classes ChannelError.
     """
     n = int(data["n"])
     qubits = data.get("qubits")

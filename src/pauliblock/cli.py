@@ -207,10 +207,18 @@ def cmd_lindblad(args) -> int:
     return 0 if ok else 1
 
 
+def _sweep_range(text: str) -> tuple:
+    """The qubit counts LO..HI of a --sweep value LO:HI."""
+    lo, _, hi = text.partition(":")
+    try:
+        return tuple(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise ValueError(f"--sweep must be LO:HI with integer LO and HI, got {text!r}") from None
+
+
 def cmd_search(args) -> int:
     if args.sweep:
-        lo, hi = (int(tok) for tok in args.sweep.split(":"))
-        suite = suites.search_suite(args.seed, runs=args.runs, ns=tuple(range(lo, hi + 1)))
+        suite = suites.search_suite(args.seed, runs=args.runs, ns=_sweep_range(args.sweep))
         report = {
             "schema": SCHEMA_VERSION,
             "command": "search-sweep",
@@ -266,6 +274,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_all(args) -> int:
+    suites.check_search_runs(args.search_runs)  # before the first suite runs
     results = []
     seeds = split_seeds(args.seed, len(suites.SUITE_ORDER))
     staged = [

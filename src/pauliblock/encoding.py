@@ -151,46 +151,36 @@ def ndme_block(rho: np.ndarray) -> np.ndarray:
 class NdmeState:
     """A (1+n)-qubit density matrix whose upper-right block equals gamma * S.
 
-    Every state the pipelines make is XOR-class constant in each block,
+    Every state is XOR-class constant in each block,
     rho_ab[j, k] = classes[a, b, j ^ k], and is held as those class values,
     an array of shape (2, 2, 2^n); `rho` expands them on first access.  A
-    state built from a dense rho keeps that array, and `classes` reads it
-    with rho_classes on first access.  Without an explicit gamma, a class
-    state takes gamma = 2^(n/2) ||classes[0, 1]|| and a dense one the l2 norm
-    of its block coefficients; the two agree on a class-constant rho.
+    rho given instead is read once by rho_classes, which raises
+    EncodingError off the XOR classes, and is kept as that expansion.
+    Without an explicit gamma, gamma = 2^(n/2) ||classes[0, 1]||.
     """
 
     def __init__(self, n: int, rho=None, gamma: float | None = None, classes=None):
         if (rho is None) == (classes is None):
             raise ValueError("an NdmeState holds exactly one of rho and classes")
         self.n = n
+        self.classes = rho_classes(rho) if classes is None else classes
         self._rho = rho
-        self._classes = classes
-        if gamma is None and rho is None:
-            gamma = 2.0 ** (n / 2) * float(np.linalg.norm(classes[0, 1]))
-        elif gamma is None:
-            d = rho.shape[0] // 2
-            gamma = float(np.linalg.norm(block_coefficients(rho[:d, d:])))
+        if gamma is None:
+            gamma = 2.0 ** (n / 2) * float(np.linalg.norm(self.classes[0, 1]))
         self.gamma = gamma
 
     @property
     def rho(self) -> np.ndarray:
         if self._rho is None:
-            self._rho = xor_class_blocks(self._classes)
+            self._rho = xor_class_blocks(self.classes)
         return self._rho
-
-    @property
-    def classes(self) -> np.ndarray:
-        if self._classes is None:
-            self._classes = rho_classes(self._rho)
-        return self._classes
 
     def block(self) -> np.ndarray:
         return ndme_block(self.rho)
 
 
 def state_from_rho(rho: np.ndarray) -> NdmeState:
-    """The NdmeState holding a (1+n)-qubit rho; gamma is the l2 norm of its block coefficients."""
+    """The NdmeState holding a class-constant (1+n)-qubit rho, at gamma 2^(n/2) ||c_01||."""
     return NdmeState(n=num_qubits(rho.shape[0] // 2), rho=rho)
 
 

@@ -3,12 +3,12 @@
 Each Hamiltonian term lambda_i P_i becomes the jump F_i = diag(K_i, L_i)
 whose pair (K_i, L_i) is the identity-variant Pauli channel of -P_i, the
 same channel the gate library builds: the Bell-frame conjugation of
-K_i (x) conj(L_i) equals -I (x) P_i.  Since every F_i is unitary, the
-dissipator sum_i lambda_i (F_i rho F_i^dag - rho) is Lambda (C(rho) - rho):
-Lambda = sum_i lambda_i and C is the Pauli mixture with pairs
-sqrt(lambda_i / Lambda) (K_i, L_i), which evolve applies to class values by
-the gate kernel's class transfer.  The upper-right block then evolves as
-the unnormalized flow d psi/dt = (-H_p - sum lambda_i) psi.
+K_i (x) conj(L_i) equals -I (x) P_i.  Each jump carries its class
+transfer T_i, so on class values the dissipator
+sum_i lambda_i (F_i rho F_i^dag - rho) is the generator
+G = sum_i lambda_i (T_i - 1), which evolve integrates.  The upper-right
+block then evolves as the unnormalized flow
+d psi/dt = (-H_p - sum lambda_i) psi.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import KrausPairChannel, class_transfer, conjugate_pairs, pauli_channel, verify_po
+from .channels import conjugate_pairs, pauli_channel, verify_po
 from .encoding import NdmeState, class_trace, xor_class_sums
 from .errors import (
     MAX_SNAPSHOT_BYTES,
@@ -60,6 +60,11 @@ class PauliHamiltonian:
         w.flags.writeable = v.flags.writeable = False
         return w, v
 
+    @cached_property
+    def jumps(self) -> JumpSet:
+        """build_jumps(self), built once: every class transfer is computed with it."""
+        return build_jumps(self)
+
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
     """Parse lines "<lambda> <sign><letters>" under a "qubits n" header."""
@@ -94,15 +99,6 @@ class JumpSet:
     n: int
     jumps: tuple  # of (lambda_i, KrausPairChannel with the single pair (K_i, L_i))
 
-    @cached_property
-    def mixture(self) -> KrausPairChannel:
-        """The Pauli mixture C with pairs sqrt(lambda_i / Lambda) (K_i, L_i); the identity at Lambda = 0."""
-        rate = self.rate_sum()
-        if rate == 0.0:
-            return KrausPairChannel(n=self.n, pairs=[(np.eye(2**self.n, dtype=complex),) * 2])
-        pairs = [np.sqrt(lam / rate) * np.array(pair) for lam, ch in self.jumps for pair in ch.pairs]
-        return KrausPairChannel(n=self.n, pairs=pairs)
-
     def rate_sum(self) -> float:
         return float(sum(lam for lam, _ in self.jumps))
 
@@ -134,11 +130,13 @@ def validate_jumps(jumps: JumpSet, h: PauliHamiltonian) -> float:
 
 
 def lindblad_rhs(rho: np.ndarray, jumps: JumpSet) -> np.ndarray:
-    """Lambda (C(rho) - rho) for any dense rho, one conjugate_pairs call: evolve's reference."""
+    """sum_i lambda_i (F_i rho F_i^dag - rho) for any dense rho, jump by jump: evolve's reference."""
     if rho.shape[0] != 2 ** (jumps.n + 1):
         raise DimensionError(f"state dimension {rho.shape[0]} does not match jumps")
-    dissipated = conjugate_pairs(rho, np.array(jumps.mixture.pairs), tuple(range(jumps.n)))
-    return jumps.rate_sum() * (dissipated - rho)
+    out = np.zeros(rho.shape, dtype=complex)
+    for lam, ch in jumps.jumps:
+        out += lam * (conjugate_pairs(rho, np.array(ch.pairs), ch.qubits) - rho)
+    return out
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,9 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step classical RK4 integration of the dissipator on class values.
 
-    One RK4 step per dt of c' = G c with G = Lambda (T - 1), T the class
-    transfer of jumps.mixture; every snapshot is a class state.
+    One RK4 step per dt of c' = G c with G = sum_i lambda_i T_i - Lambda 1,
+    T_i the class transfer of jump i and Lambda = sum_i lambda_i; every
+    snapshot is a class state.
 
     dt, t_max and their ratio must be finite, and t_max a whole number of
     steps (to a relative 1e-9), so the trajectory ends exactly at t_max.
@@ -198,7 +197,7 @@ def evolve(
             f" 2 * dt * rate sum <= {RK4_STABILITY_LIMIT}"
         )
     n = jumps.n
-    generator = rate_sum * (class_transfer(jumps.mixture) - np.eye(2**n))
+    generator = sum(lam * ch.transfer for lam, ch in jumps.jumps) - rate_sum * np.eye(2**n)
     c = state0.classes.astype(complex)[..., None]  # (2, 2, 2^n, 1) columns
     times = [0.0]
     states = [state0]
@@ -235,7 +234,7 @@ def ite_block_residual(
     Returns (trajectory, worst max-entry residual of the encoded block
     against gamma0 * S(ite_reference(c0, h, t))) over the recorded times.
     """
-    traj = evolve(state0, build_jumps(h), t_max=t_max, dt=dt, record_every=record_every)
+    traj = evolve(state0, h.jumps, t_max=t_max, dt=dt, record_every=record_every)
     scale = 2.0 ** (h.n / 2)
     c0 = scale * state0.classes[0, 1] / state0.gamma
     worst = 0.0

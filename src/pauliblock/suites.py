@@ -319,7 +319,7 @@ def ite_suite(seed, tol: float = 1e-6, rate_tol: float = 0.05, dt: float = 1e-3)
     for _ in range(10):
         n = int(rng.integers(1, 4))
         h = random_ff_hamiltonian(rng, n)
-        worst_jumps = max(worst_jumps, validate_jumps(build_jumps(h), h))
+        worst_jumps = max(worst_jumps, validate_jumps(h.jumps, h))
         proj, energy = oracle.ground_projector(h)
         worst_ff = max(worst_ff, abs(energy + h.rate_sum()))
         expected_dim = 2 ** (n - len(h.terms))
@@ -439,14 +439,19 @@ def oracle_identity_suite(seed, tol: float = 1e-12) -> dict:
     }
 
 
+def check_search_runs(runs: int) -> None:
+    """runs must be at least 2: the per-n standard error needs two samples."""
+    if runs < 2:
+        raise ValueError(f"search_suite needs runs >= 2, got {runs}")
+
+
 def search_suite(seed, runs: int = 200, ns=(3, 4, 5, 6, 7, 8)) -> dict:
     """Planted-target recovery statistics and query-count scaling.
 
-    runs must be at least 2: the per-n standard error needs two samples;
-    ns must name at least one qubit count, each at least 1.
+    runs is checked by check_search_runs; ns must name at least one qubit
+    count, each at least 1.
     """
-    if runs < 2:
-        raise ValueError(f"search_suite needs runs >= 2, got {runs}")
+    check_search_runs(runs)
     if not ns or min(ns) < 1:
         raise ValueError(f"search_suite needs one or more qubit counts n >= 1, got {list(ns)}")
     check_qubits(max(ns), VECTOR_QUBITS, "search")

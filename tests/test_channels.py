@@ -407,21 +407,23 @@ def test_nan_kraus_pair_is_refused_from_the_wire():
         channel_from_dict(json.loads(text))
 
 
-def _amplitude_damping(g):
+def _amplitude_damping_pairs(g):
     a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]], dtype=complex)
     a1 = np.array([[0.0, np.sqrt(g)], [0.0, 0.0]], dtype=complex)
-    return KrausPairChannel(n=1, pairs=[(a0, a0), (a1, a1)])
+    return [(a0, a0), (a1, a1)]
 
 
 def test_amplitude_damping_is_trace_preserving_but_refused_as_a_class_leak():
-    ch = _amplitude_damping(0.3)  # CPTP, so construction accepts it
-    assert check_cptp(ch) < 1e-15
-    assert _transfer_and_leak(ch.pairs)[1] > 0.1
-    rng = np.random.default_rng(3)
-    for channel in (ch, embed_channel(ch, [1], 2)):
-        st = encode_state_optimal(random_statevector(channel.n, rng))
+    pairs = _amplitude_damping_pairs(0.3)
+    assert np.abs(sum(K.conj().T @ K for K, _ in pairs) - I2).max() < 1e-15  # CPTP
+    assert _transfer_and_leak(pairs)[1] > 0.1
+    with pytest.raises(ChannelError, match="XOR classes"):
+        KrausPairChannel(n=1, pairs=pairs)
+    wire = [{"k": [[z.real, z.imag] for z in K.reshape(-1)]} for K, _ in pairs]
+    for data in ({"n": 1}, {"n": 2, "qubits": [1]}):
+        data["pairs"] = [dict(p, l=p["k"]) for p in wire]
         with pytest.raises(ChannelError, match="XOR classes"):
-            apply_channel(channel, st)
+            channel_from_dict(data)
 
 
 def test_library_and_pauli_channels_keep_the_xor_classes():
@@ -455,7 +457,7 @@ def test_transfer_matches_the_dense_kernel(n):
         assert abs(out.gamma - state_from_rho(want).gamma) <= 1e-15
 
 
-def test_transfer_is_computed_on_first_use_once_per_base(monkeypatch):
+def test_transfer_is_computed_at_construction_once_per_base(monkeypatch):
     import pauliblock.channels as channels
     from pauliblock.lindblad import build_jumps, parse_hamiltonian
 
@@ -463,15 +465,20 @@ def test_transfer_is_computed_on_first_use_once_per_base(monkeypatch):
     real = channels._transfer_and_leak
     monkeypatch.setattr(channels, "_transfer_and_leak", lambda pairs: calls.append(1) or real(pairs))
     build_jumps(parse_hamiltonian("qubits 2\n1.0 -ZZ\n1.0 -XX\n0.5 +XI\n"))
-    assert calls == []  # none at construction
+    assert len(calls) == 3  # one per jump
+    base = gate_channel("HH_CNOT_HH")
+    assert len(calls) == 4
+    lift = embed_channel(base, [3, 1], 5)
+    assert len(calls) == 4 and lift.transfer is base.transfer
     rng = np.random.default_rng(5)
     circ = random_circuit(rng, 5, k=3, extra_gates=27)
+    del calls[:]
     prog = compile_circuit(circ)
+    assert 1 <= len(calls) == len({name for name, _ in circ.gates}) <= 4
+    del calls[:]
+    run_program(prog, encode_state_optimal(random_statevector(5, rng)))
+    run_program(prog, encode_state_optimal(random_statevector(5, rng)))
     assert calls == []
-    run_program(prog, encode_state_optimal(random_statevector(5, rng)))
-    assert 1 <= len(calls) <= len({name for name, _ in circ.gates}) <= 4
-    run_program(prog, encode_state_optimal(random_statevector(5, rng)))
-    assert len(calls) <= 4
 
 
 def test_dense_held_states_keep_their_array_and_read_their_classes():
@@ -493,9 +500,7 @@ def test_a_rho_off_the_xor_classes_has_no_class_values():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m @ m.conj().T / np.trace(m @ m.conj().T)
-    st = state_from_rho(rho)
-    assert st.rho is rho and st.gamma > 0
     with pytest.raises(EncodingError, match="XOR-class"):
-        st.classes
-    with pytest.raises(EncodingError):
-        apply_channel(gate_channel("H"), st)
+        state_from_rho(rho)
+    with pytest.raises(EncodingError, match="XOR-class"):
+        NdmeState(n=1, rho=rho, gamma=0.5)

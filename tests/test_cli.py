@@ -439,6 +439,30 @@ def test_search_sweep_bad_range_is_input_error(capsys, sweep):
     assert err.startswith("error: search_suite needs one or more qubit counts n >= 1")
 
 
+def _refuse_suites(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in dir(suites):
+        if name.endswith("_suite"):
+            monkeypatch.setattr(suites, name, refuse)
+
+
+def test_all_refuses_a_single_search_run_before_any_suite(capsys, monkeypatch):
+    _refuse_suites(monkeypatch)
+    code, out, err = run_cli(["all", "--search-runs", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: search_suite needs runs >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("sweep", ["3", "3:x", "3:4:5", ":4"])
+def test_search_sweep_not_lo_hi_is_input_error(capsys, monkeypatch, sweep):
+    _refuse_suites(monkeypatch)
+    code, out, err = run_cli(["search", "--sweep", sweep], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: --sweep must be LO:HI")
+
+
 def test_trajectory_csv_coherence_column_is_coherence_values(tmp_path, capsys):
     path = tmp_path / "bell.txt"
     path.write_text(BELL)
@@ -598,3 +622,18 @@ def test_lindblad_dt_audit_shares_one_eigensolve(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a) or real(a, *args))
     code, _, _ = run_cli(["lindblad", "--hamiltonian", str(path), "--t-max", "2.0", "--dt-audit"], capsys)
     assert code == 0 and len(calls) == 1
+
+
+def test_lindblad_dt_audit_builds_each_jump_once(tmp_path, capsys, monkeypatch):
+    from pauliblock import channels, lindblad
+
+    path = tmp_path / "three.txt"
+    path.write_text("qubits 3\n1.0 -ZZI\n1.0 -IZZ\n0.5 -XXX\n")
+    builds, transfers = [], []
+    real_build, real_transfer = lindblad.build_jumps, channels._transfer_and_leak
+    monkeypatch.setattr(lindblad, "build_jumps", lambda h: builds.append(h) or real_build(h))
+    monkeypatch.setattr(channels, "_transfer_and_leak", lambda p: transfers.append(p) or real_transfer(p))
+    argv = ["lindblad", "--hamiltonian", str(path), "--t-max", "1", "--dt", "1e-3", "--dt-audit"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["dt_audit_ratio"] is not None
+    assert len(builds) == 1 and len(transfers) == 3

@@ -287,12 +287,11 @@ def test_state_from_rho_gamma_is_the_inline_formula():
     rng = np.random.default_rng(8)
     for n in range(1, 6):
         d = 2**n
-        m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
+        rho = xor_class_blocks(encode_state_optimal(random_statevector(n, rng)).classes)
         st = state_from_rho(rho)
         assert st.n == n and st.rho is rho
-        assert st.gamma == float(np.linalg.norm(block_coefficients(rho[:d, d:])))
+        assert st.gamma == 2.0 ** (n / 2) * float(np.linalg.norm(rho[0, d:]))
+        assert abs(st.gamma - float(np.linalg.norm(block_coefficients(rho[:d, d:])))) <= 1e-15
 
 
 def test_nan_amplitudes_are_refused():

@@ -392,7 +392,7 @@ def _refuse_steps(*args):
 def test_evolve_refuses_snapshots_beyond_the_memory_cap(monkeypatch):
     # n = 6 snapshots hold 4 * 2^6 complex class values, 64 * 2^6 bytes each;
     # MAX_STEPS + 1 of them exceed 1 GiB
-    monkeypatch.setattr(lindblad, "class_transfer", _refuse_steps)
+    monkeypatch.setattr(lindblad, "class_trace", _refuse_steps)
     n = 6
     state0 = encode_state_optimal(np.full(2**n, 2.0 ** (-n / 2)))
     jumps = build_jumps(parse_hamiltonian(f"qubits {n}\n1.0 -{'Z' * n}\n"))
@@ -521,7 +521,7 @@ def test_spectrum_is_read_only_and_size_checked_before_the_matrix(monkeypatch):
 
 @pytest.mark.parametrize("record_every", [0, -5, 2.5])
 def test_evolve_refuses_a_record_every_that_is_not_a_positive_integer(monkeypatch, record_every):
-    monkeypatch.setattr(lindblad, "class_transfer", _refuse_steps)
+    monkeypatch.setattr(lindblad, "class_trace", _refuse_steps)
     jumps = build_jumps(parse_hamiltonian(FRUSTRATED))
     with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
         evolve(encode_state_optimal([1, 0]), jumps, t_max=0.1, dt=0.01, record_every=record_every)
