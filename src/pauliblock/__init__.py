@@ -11,7 +11,6 @@ from .channels import (
     KrausPairChannel,
     apply_channel,
     cbe_operator,
-    channel_from_dict,
     channel_to_dict,
     embed_channel,
     gate_channel,
@@ -67,14 +66,11 @@ from .measure import (
     assistant_traces,
     expectation_via_swap,
     hle_identity_check,
-    pauli_expectation,
 )
 from .paulis import (
     PauliString,
     bell_frame,
     embed_operator,
-    pauli_decompose,
-    pauli_matrix,
     pauli_trace,
     vectorize,
 )
@@ -88,7 +84,6 @@ from .search import (
     oracle_apply,
     rho_out_closed_form,
     run_protocol,
-    sample_x_basis,
 )
 
 __version__ = "0.1.0"

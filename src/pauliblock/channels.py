@@ -358,13 +358,6 @@ def _matrix_to_wire(M: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(M, dtype=complex).reshape(-1)]
 
 
-def _matrix_from_wire(entries, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries])
-    if flat.size != dim * dim:
-        raise DimensionError(f"expected {dim * dim} entries, got {flat.size}")
-    return flat.reshape(dim, dim)
-
-
 def channel_to_dict(ch: KrausPairChannel) -> dict:
     """Wire format: row-major [re, im] entry lists plus n and eta.
 
@@ -382,23 +375,3 @@ def channel_to_dict(ch: KrausPairChannel) -> dict:
         data["qubits"] = list(ch.qubits)
     return data
 
-
-def channel_from_dict(data: dict) -> KrausPairChannel:
-    """Inverse of channel_to_dict; a missing "qubits" means all n qubits.
-
-    Bad qubits or matrix sizes raise DimensionError, a non-trace-preserving
-    channel or one that leaks off the XOR classes ChannelError.
-    """
-    n = int(data["n"])
-    qubits = data.get("qubits")
-    if qubits is not None:
-        qubits = _checked_qubits(qubits, n)
-    dim = 2 ** (n if qubits is None else len(qubits))
-    pairs = [
-        (_matrix_from_wire(p["k"], dim), _matrix_from_wire(p["l"], dim))
-        for p in data["pairs"]
-    ]
-    eta = data.get("eta")
-    return KrausPairChannel(
-        n=n, pairs=pairs, eta=None if eta is None else float(eta), qubits=qubits
-    )

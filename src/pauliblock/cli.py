@@ -27,7 +27,7 @@ from .compiler import (
     run_program,
 )
 from .encoding import class_trace, encode_state_optimal, s_from_amplitudes
-from .errors import MAX_SHOTS, STATE_QUBITS, ParseError, SearchFailure, check_qubits
+from .errors import MAX_SHOTS, VECTOR_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
     coherence_steadiness,
     coherence_values,
@@ -83,7 +83,7 @@ def cmd_amplitude(args) -> int:
     with open(args.circuit) as fh:
         circ = parse_circuit(fh.read())
     n = circ.n
-    check_qubits(n, STATE_QUBITS, "amplitude")
+    check_qubits(n, VECTOR_QUBITS, "amplitude")
     alpha = args.alpha or "0" * n
     parse_bits(alpha, n)
     prog = compile_circuit(circ)
@@ -369,6 +369,8 @@ def main(argv=None) -> int:
                 raise ValueError(
                     f"--{option} must be finite and positive, not subnormal, got {value}"
                 )
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

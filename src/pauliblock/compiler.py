@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .channels import (
     apply_channel,
-    channel_from_dict,
     channel_to_dict,
     embed_channel,
     gate_channel,
@@ -117,11 +116,3 @@ def program_to_dict(program: CompiledProgram) -> dict:
         "channels": [channel_to_dict(ch) for ch in program.channels],
     }
 
-
-def program_from_dict(data: dict) -> CompiledProgram:
-    return CompiledProgram(
-        n=int(data["n"]),
-        channels=tuple(channel_from_dict(ch) for ch in data["channels"]),
-        eta_total=float(data["eta_total"]),
-        hadamard_count=int(data["hadamard_count"]),
-    )

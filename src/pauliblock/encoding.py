@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import STATE_QUBITS, DimensionError, EncodingError, check_qubits
+from .errors import STATE_QUBITS, VECTOR_QUBITS, DimensionError, EncodingError, check_qubits
 from .paulis import is_power_of_two, num_qubits
 
 NORM_SLACK = 1e-9
@@ -38,13 +38,13 @@ def xor_grid(n: int) -> np.ndarray:
     return idx[:, None] ^ idx[None, :]
 
 
-def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply the normalized n-fold Hadamard transform along one axis.
+def hadamard_transform(arr: np.ndarray) -> np.ndarray:
+    """Apply the normalized n-fold Hadamard transform along the first axis.
 
     Stage h pairs index j with j + h inside every block of 2h, so each stage
     is one butterfly on a (size / 2h, 2, h, ...) view.
     """
-    out = np.array(np.moveaxis(arr, axis, 0), dtype=complex, order="C")
+    out = np.array(arr, dtype=complex, order="C")
     size = out.shape[0]
     if not is_power_of_two(size):
         raise DimensionError(f"axis length {size} is not a power of two")
@@ -57,7 +57,7 @@ def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
         pairs[:, 1] = a - b
         h *= 2
     out /= np.sqrt(size)
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def xor_class_matrix(s: np.ndarray) -> np.ndarray:
@@ -153,9 +153,10 @@ class NdmeState:
 
     Every state is XOR-class constant in each block,
     rho_ab[j, k] = classes[a, b, j ^ k], and is held as those class values,
-    an array of shape (2, 2, 2^n); `rho` expands them on first access.  A
-    rho given instead is read once by rho_classes, which raises
-    EncodingError off the XOR classes, and is kept as that expansion.
+    an array of shape (2, 2, 2^n); `rho` expands them on first access, up
+    to STATE_QUBITS.  A rho given instead is read once by rho_classes,
+    which raises EncodingError off the XOR classes, and is kept as that
+    expansion.
     Without an explicit gamma, gamma = 2^(n/2) ||classes[0, 1]||.
     """
 
@@ -172,6 +173,7 @@ class NdmeState:
     @property
     def rho(self) -> np.ndarray:
         if self._rho is None:
+            check_qubits(self.n, STATE_QUBITS, "NdmeState.rho")
             self._rho = xor_class_blocks(self.classes)
         return self._rho
 
@@ -202,7 +204,7 @@ def encode_state_optimal(c) -> NdmeState:
     """
     c = check_amplitudes(c)
     n = num_qubits(c.size)
-    check_qubits(n, STATE_QUBITS, "encode_state_optimal")
+    check_qubits(n, VECTOR_QUBITS, "encode_state_optimal")
     chi = hadamard_transform(c)
     mag = np.abs(chi)
     total = mag.sum()

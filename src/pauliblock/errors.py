@@ -6,14 +6,14 @@ class DimensionError(ValueError):
 
 
 # Size policy: the largest size each kind of allocation accepts.
-STATE_QUBITS = 10  # dense (1+n)-qubit density matrices, 64 MB at n = 10
-VECTOR_QUBITS = 20  # length-2^n vectors: search class sums, statevectors
+STATE_QUBITS = 10  # dense (1+n)-qubit density matrices (NdmeState.rho, dense search), 64 MB at n = 10
+VECTOR_QUBITS = 20  # length-2^n vectors: class states, search class sums, statevectors
 REFERENCE_QUBITS = 6  # dense brute-force references (ITE, Bell frame, eigensolves)
-OPERATOR_QUBITS = 8  # dense n-qubit operators: circuit unitaries, Pauli decompositions
+OPERATOR_QUBITS = 8  # dense n-qubit operators: circuit unitaries
 CBE_QUBITS = 4  # dense block-encoding operators on 2n qubits
 KRAUS_SUM_QUBITS = 3  # the search oracle's literal 4^n-term Kraus sum
 SWAP_QUBITS = 4  # the swap trace's three dense 16^(n+1)-entry operators
-MAX_SHOTS = 10**6  # finite-shot draws in one call, about 42 MB of outcomes at n = 3
+MAX_SHOTS = 10**6  # X-basis draws in one sample_outcomes call, about 42 MB at n = 3
 MAX_STEPS = 10**6  # RK4 steps in one Lindblad run
 MAX_SNAPSHOT_BYTES = 1 << 30  # snapshots one Lindblad run keeps
 

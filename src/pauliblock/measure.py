@@ -4,20 +4,18 @@ Amplitudes come out of X/Y-type Pauli traces on the whole density matrix,
 operator expectation values out of a swap-type trace between two encoded
 states, and both have purification-level counterparts.  All traces are
 computed exactly, the amplitude traces from a state's class values and the
-others from the density matrix; shot sampling is an optional emulation
-layer and never the source of truth for identity tests.
+others from the density matrix.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import NdmeState
-from .errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError, check_qubits
-from .paulis import PauliString, bits_to_index, embed_operator, num_qubits, parse_bits, pauli_trace
+from .errors import SWAP_QUBITS, DimensionError, EncodingError, check_qubits
+from .paulis import PauliString, bits_to_index, embed_operator, parse_bits, pauli_trace
 
 
 @dataclass(frozen=True)
@@ -37,19 +35,6 @@ class MeasurementRecord:
             "shots": self.shots,
             "seed": self.seed,
         }
-
-
-def pauli_expectation(rho: np.ndarray, p: PauliString) -> float:
-    """Exact Tr(P rho) for a Hermitian-phase Pauli string, by paulis.pauli_trace."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
-        raise ValueError("density matrix is not Hermitian")
-    if num_qubits(rho.shape[0]) != p.n:
-        raise DimensionError(f"operator on {p.n} qubits, state on {rho.shape}")
-    val = pauli_trace(rho, p)
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
-    return float(val.real)
 
 
 def assistant_traces(state: NdmeState, alpha) -> tuple:
@@ -144,26 +129,3 @@ def hle_identity_check(state: NdmeState, alpha) -> float:
     rhs = 1.0 + pauli_trace(rho, x_q).real
     return float(abs(lhs - rhs))
 
-
-def sample_pauli(rho: np.ndarray, p: PauliString, shots: int, seed: int):
-    """Draw +-1 outcomes with P(+1) = (1 + Tr(P rho))/2 under a fixed seed.
-
-    Returns (mean, standard error).  A mean further than five standard
-    errors from the exact trace is flagged with a warning, not an error.
-    """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    check_qubits(shots, MAX_SHOTS, "sample_pauli", unit="shots")
-    exact = pauli_expectation(rho, p)
-    p_plus = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    outcomes = np.where(rng.random(shots) < p_plus, 1.0, -1.0)
-    mean = float(outcomes.mean())
-    stderr = float(outcomes.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
-    if stderr > 0 and abs(mean - exact) > 5 * stderr:
-        warnings.warn(
-            f"sample mean {mean:.4f} is {abs(mean - exact) / stderr:.1f} standard"
-            f" errors from the exact value {exact:.4f}",
-            stacklevel=2,
-        )
-    return mean, stderr

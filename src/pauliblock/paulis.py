@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
-from .errors import OPERATOR_QUBITS, REFERENCE_QUBITS, DimensionError, check_qubits
+from .errors import REFERENCE_QUBITS, DimensionError, check_qubits
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -152,13 +151,6 @@ class PauliString:
         return self.phase.imag == 0.0
 
 
-def pauli_matrix(p) -> np.ndarray:
-    """Dense matrix of a PauliString (or of a label string)."""
-    if isinstance(p, str):
-        p = PauliString.from_label(p)
-    return p.matrix()
-
-
 def vectorize(O: np.ndarray) -> np.ndarray:
     """Row-major vectorization sum_ij o_ij |i>|j>."""
     O = np.asarray(O, dtype=complex)
@@ -166,29 +158,6 @@ def vectorize(O: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {O.shape}")
     num_qubits(O.shape[0])
     return O.reshape(-1).copy()
-
-
-def matrixize(v: np.ndarray) -> np.ndarray:
-    """Inverse of vectorize; the length must be a power of four."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size or not is_power_of_two(d):
-        raise DimensionError(f"length {v.size} is not a power of four")
-    return v.reshape(d, d).copy()
-
-
-def kraus_block_identity(K: np.ndarray, L: np.ndarray, O: np.ndarray):
-    """Return (K O L^dag, (K (x) conj(L)) vec(O)); both sides agree under vectorize."""
-    K = np.asarray(K, dtype=complex)
-    L = np.asarray(L, dtype=complex)
-    O = np.asarray(O, dtype=complex)
-    if K.shape[1] != O.shape[0] or L.shape[1] != O.shape[1]:
-        raise DimensionError(
-            f"incompatible shapes K{K.shape}, L{L.shape}, O{O.shape}"
-        )
-    block = K @ O @ L.conj().T
-    vec = np.kron(K, L.conj()) @ vectorize(O)
-    return block, vec
 
 
 def pauli_trace(M: np.ndarray, p: PauliString) -> complex:
@@ -204,30 +173,6 @@ def pauli_trace(M: np.ndarray, p: PauliString) -> complex:
         if ch in "YZ":
             view[(slice(None),) * q + (int(ch == "Z"),)] *= -1
     return complex(terms.sum())
-
-
-def pauli_decompose(O: np.ndarray, drop_tol: float = 1e-14) -> dict:
-    """Coefficients of O over unsigned Pauli strings, keyed by letter label.
-
-    The string with flip mask x and Z mask z (its Y and Z letters) has
-    coeff = 2^-n Tr(P O) = 2^(-n/2) (-i)^|x & z| (H^n V)[x, z] with V[x, J] = O[J ^ x, J],
-    so one Walsh-Hadamard transform along J gives them all, O(4^n n).  Keys are in
-    product("IXYZ") order; entries below drop_tol are omitted.
-    """
-    from .encoding import hadamard_transform  # encoding imports this module
-
-    O = np.asarray(O, dtype=complex)
-    n = num_qubits(O.shape[0])
-    check_qubits(n, OPERATOR_QUBITS, "pauli_decompose")
-    idx = np.arange(O.shape[0])
-    walsh = hadamard_transform(O[idx[:, None] ^ idx, idx], axis=1) * 2.0 ** (-n / 2)
-    letters = np.indices((4,) * n).reshape(n, -1)  # 0..3 = I, X, Y, Z, one column per label
-    weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
-    x = weights @ ((letters == 1) | (letters == 2))
-    z = weights @ (letters >= 2)
-    values = np.array([1, -1j, -1, 1j])[(letters == 2).sum(axis=0) % 4] * walsh[x, z]
-    labels = map("".join, product("IXYZ", repeat=n))
-    return {label: c for label, c in zip(labels, values.tolist()) if abs(c) > drop_tol}
 
 
 def embed_operator(op: np.ndarray, qubits, n: int) -> np.ndarray:

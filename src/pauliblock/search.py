@@ -199,11 +199,6 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleBatch:
     return SampleBatch(outcomes=outcomes, seed=seed, accepted_mask=~rejected)
 
 
-def sample_x_basis(rho_out: np.ndarray, shots: int, seed) -> SampleBatch:
-    """sample_outcomes on the X-basis distribution of a dense output state."""
-    return sample_outcomes(x_basis_probabilities(rho_out), shots, seed)
-
-
 def _gf2_eliminate(M: np.ndarray, cols: int):
     """Gauss-Jordan elimination over GF(2), pivoting on the first cols columns.
 

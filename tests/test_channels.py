@@ -12,7 +12,6 @@ from pauliblock.channels import (
     _transfer_and_leak,
     apply_channel,
     cbe_operator,
-    channel_from_dict,
     channel_to_dict,
     check_cptp,
     conjugate_pairs,
@@ -36,6 +35,7 @@ from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, I2, PauliString, X, Y, Z, bell_frame, embed_operator
 from pauliblock.search import SearchOracle, run_protocol
 from pauliblock.suites import random_circuit
+from wire import channel_from_dict
 
 
 def compose(first: KrausPairChannel, then: KrausPairChannel) -> KrausPairChannel:

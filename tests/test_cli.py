@@ -7,7 +7,7 @@ import pytest
 from pauliblock import cli, oracle, suites
 from pauliblock.compiler import compile_circuit, parse_circuit, run_program
 from pauliblock.encoding import encode_state_optimal
-from pauliblock.errors import MAX_SHOTS, STATE_QUBITS
+from pauliblock.errors import MAX_SHOTS, VECTOR_QUBITS
 from pauliblock.lindblad import build_jumps, coherence_values, evolve, parse_hamiltonian
 from pauliblock.measure import amplitude_via_pauli
 from pauliblock.paulis import PauliString, X, Y
@@ -79,7 +79,7 @@ def test_amplitude_dump_channels(tmp_path, capsys):
         ["amplitude", "--circuit", str(circ), "--dump-channels", str(dump)], capsys
     )
     assert code == 0
-    from pauliblock.compiler import program_from_dict
+    from wire import program_from_dict
 
     prog = program_from_dict(json.loads(dump.read_text()))
     assert prog.n == 3 and len(prog.channels) == 5
@@ -270,11 +270,24 @@ def test_lindblad_dt_audit_divides_t_max(tmp_path, capsys):
 
 def test_amplitude_oversize_circuit_is_input_error(tmp_path, capsys):
     path = tmp_path / "big.txt"
-    path.write_text("qubits 16\nH 0\n")
+    path.write_text("qubits 21\nH 0\n")
     code, out, err = run_cli(["amplitude", "--circuit", str(path)], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
-    assert str(STATE_QUBITS) in err
+    assert str(VECTOR_QUBITS) in err
+
+
+def test_amplitude_beyond_the_dense_cap_matches_the_oracle(tmp_path, capsys):
+    text = "qubits 16\nH 0\nCNOT 0 5\nT 5\nH 9\nCNOT 9 15\nS 15\nCNOT 3 12\nT 12\n"
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    code, out, _ = run_cli(["amplitude", "--circuit", str(path)], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    want = oracle.amplitude_plus_u_zero(parse_circuit(text), 0)
+    assert abs(want) > 1e-3  # a nonzero amplitude, so the comparison means something
+    assert report["residual"] < 1e-15
+    assert report["amplification"] == 2.0 ** ((16 - 2) / 2)
 
 
 def test_amplitude_reports_measured_traces(tmp_path, capsys):
@@ -374,7 +387,8 @@ def test_amplitude_takes_each_trace_once(tmp_path, capsys, monkeypatch):
 def test_bad_wire_qubits_exit_2(tmp_path, capsys, monkeypatch, qubits):
     # no subcommand reads channel JSON yet, so the amplitude command is made
     # to load its program from a wire dump with bad qubits
-    from pauliblock.compiler import program_from_dict, program_to_dict
+    from pauliblock.compiler import program_to_dict
+    from wire import program_from_dict
 
     wire = program_to_dict(compile_circuit(parse_circuit("qubits 3\nCNOT 2 0\n")))
     wire["channels"][0]["qubits"] = qubits
@@ -455,6 +469,18 @@ def test_all_refuses_a_single_search_run_before_any_suite(capsys, monkeypatch):
     assert err == "error: search_suite needs runs >= 2, got 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--n", "3", "--target", "101"], ["search", "--sweep", "3:4"], ["all"]],
+    ids=["search", "search-sweep", "all"],
+)
+def test_negative_seed_is_named(capsys, monkeypatch, argv):
+    _refuse_suites(monkeypatch)
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("sweep", ["3", "3:x", "3:4:5", ":4"])
 def test_search_sweep_not_lo_hi_is_input_error(capsys, monkeypatch, sweep):
     _refuse_suites(monkeypatch)
@@ -482,7 +508,7 @@ OVERSIZED = [
     ("lindblad", "qubits 20\n1.0 -" + "Z" * 20 + "\n", []),
     ("lindblad", FRUSTRATED, ["--t-max", "1e6", "--dt", "1e-6"]),
     ("lindblad", FRUSTRATED, ["--dt", "1e-320"]),
-    ("amplitude", "qubits 11\nH 0\n", []),
+    ("amplitude", "qubits 21\nH 0\n", []),
     ("search", None, ["--n", "21", "--target", "1" * 21]),
     ("search", None, ["--sweep", "3:21"]),
 ]
@@ -496,7 +522,7 @@ OVERSIZED = [
         "lindblad-20-qubits",
         "lindblad-10^12-steps",
         "lindblad-subnormal-dt",
-        "amplitude-11-qubits",
+        "amplitude-21-qubits",
         "search-n-21",
         "search-sweep-3-21",
     ],

@@ -151,7 +151,8 @@ def test_predicted_signal_factor_values():
 def test_program_wire_roundtrip():
     import json
 
-    from pauliblock.compiler import program_from_dict, program_to_dict
+    from pauliblock.compiler import program_to_dict
+    from wire import program_from_dict
 
     prog = compile_circuit(parse_circuit("qubits 2\nH 0\nCNOT 0 1\nT 1"))
     data = json.loads(json.dumps(program_to_dict(prog)))
@@ -198,7 +199,8 @@ def test_compile_builds_no_dense_blocks(monkeypatch):
 def test_old_full_width_dump_loads_and_runs_to_the_same_rho():
     import json
 
-    from pauliblock.compiler import program_from_dict, program_to_dict
+    from pauliblock.compiler import program_to_dict
+    from wire import program_from_dict
 
     circ = parse_circuit("qubits 3\nH 0\nCNOT 2 0\nT 1\nS 2\nH 2\nCNOT 0 1\n")
     prog = compile_circuit(circ)

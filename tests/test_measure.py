@@ -5,46 +5,21 @@ import pytest
 
 from pauliblock.channels import apply_channel, pauli_channel
 from pauliblock.encoding import NdmeState, encode_state_optimal
-from pauliblock.errors import MAX_SHOTS, SWAP_QUBITS, DimensionError, EncodingError
+from pauliblock.errors import SWAP_QUBITS, DimensionError, EncodingError
 from pauliblock.measure import (
     MeasurementRecord,
     amplitude_via_pauli,
     assistant_traces,
     expectation_via_swap,
     hle_identity_check,
-    pauli_expectation,
-    sample_pauli,
 )
 from pauliblock.oracle import random_statevector
-from pauliblock.paulis import PauliString, X, pauli_decompose, pauli_trace
+from pauliblock.paulis import PauliString, X, pauli_trace
 from pauliblock.search import SearchOracle, oracle_apply, run_protocol
 
 
 def _plus(n):
     return np.full(2**n, 2.0 ** (-n / 2))
-
-
-def test_pauli_expectation_fixtures():
-    plus = np.outer([1, 1], [1, 1]) / 2
-    assert pauli_expectation(plus, PauliString(1, "X")) == pytest.approx(1.0)
-    assert pauli_expectation(np.eye(2) / 2, PauliString(1, "Z")) == pytest.approx(0.0)
-
-
-def test_pauli_expectation_matches_decomposition():
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho)
-    coeffs = pauli_decompose(rho, drop_tol=0.0)
-    for label in ("XIZ", "YYX", "IZI"):
-        got = pauli_expectation(rho, PauliString(1, label))
-        assert got == pytest.approx((coeffs[label] * 8).real, abs=1e-10)
-
-
-def test_pauli_expectation_rejects_non_hermitian():
-    bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError):
-        pauli_expectation(bad, PauliString(1, "Z"))
 
 
 def test_amplitude_on_uniform_state():
@@ -172,21 +147,6 @@ def test_hle_identity_pure_mixed_random():
         assert hle_identity_check(st, rng.integers(0, 2, n)) < 1e-10
 
 
-def test_sample_pauli_deterministic_outcomes():
-    plus = np.outer([1, 1], [1, 1]) / 2
-    mean, stderr = sample_pauli(plus, PauliString(1, "X"), shots=200, seed=11)
-    assert mean == 1.0 and stderr == 0.0
-
-
-def test_sample_pauli_statistics_and_determinism():
-    rho = np.eye(2) / 2
-    mean, stderr = sample_pauli(rho, PauliString(1, "Z"), shots=10_000, seed=5)
-    assert abs(mean) < 0.05
-    assert stderr == pytest.approx(0.01, abs=2e-3)
-    again = sample_pauli(rho, PauliString(1, "Z"), shots=10_000, seed=5)
-    assert again == (mean, stderr)
-
-
 def test_measurement_record_json_fields():
     rec = MeasurementRecord("X(x)Q_01", 0.25 - 0.5j, shots=100, seed=7)
     data = rec.to_json_dict()
@@ -251,7 +211,7 @@ def test_hle_identity_check_builds_no_operator():
     assert peak < 1 << 20  # the dense operator alone is 16 MB at n = 4
 
 
-def test_pauli_expectation_matches_dense_trace():
+def test_pauli_trace_matches_dense_trace_on_density_matrices():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
         d = 2**n
@@ -261,8 +221,8 @@ def test_pauli_expectation_matches_dense_trace():
         for _ in range(12):
             letters = "".join(rng.choice(list("IXYZ"), size=n))
             p = PauliString(1 if rng.random() < 0.5 else -1, letters)
-            want = np.trace(p.matrix() @ rho).real
-            assert abs(pauli_expectation(rho, p) - want) < 1e-15
+            want = np.trace(p.matrix() @ rho)
+            assert abs(pauli_trace(rho, p) - want) < 1e-15
 
 
 def test_swap_cap_is_checked_before_allocating():
@@ -277,11 +237,6 @@ def test_swap_cap_is_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # one 16^(n+1)-entry operator is 1 GB at n = 5
-
-
-def test_sample_pauli_refuses_shots_beyond_the_cap():
-    with pytest.raises(DimensionError, match="capped at"):
-        sample_pauli(np.eye(2) / 2, PauliString(1, "Z"), shots=MAX_SHOTS + 1, seed=0)
 
 
 def _gathered_traces(state, a):

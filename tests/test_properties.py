@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pauliblock.channels import (
     F0_VARIANTS,
     GATE_IDS,
-    channel_from_dict,
     channel_to_dict,
     embed_channel,
     gate_channel,
@@ -19,6 +18,7 @@ from pauliblock.compiler import GATE_ARITY, parse_circuit
 from pauliblock.errors import ChannelError, ParseError
 from pauliblock.lindblad import parse_hamiltonian
 from pauliblock.paulis import PHASES, PauliString, pauli_trace
+from wire import channel_from_dict
 
 FEW = settings(max_examples=40, deadline=None)
 

@@ -24,7 +24,6 @@ from pauliblock.search import (
     rho_out_closed_form,
     run_protocol,
     sample_outcomes,
-    sample_x_basis,
     x_basis_probabilities,
 )
 from pauliblock.suites import search_suite
@@ -121,7 +120,7 @@ def test_discard_probability_and_parity():
     discard = probs[0] + probs[2**n]
     assert discard == pytest.approx(0.5 + 2.0 ** -(n + 1), abs=1e-12)
 
-    batch = sample_x_basis(rho_out, shots=4000, seed=3)
+    batch = sample_outcomes(probs, shots=4000, seed=3)
     acc = batch.accepted
     assert acc.shape[0] > 0
     xs = np.array([0, 1, 1])
@@ -131,15 +130,15 @@ def test_discard_probability_and_parity():
 
 
 def test_sampling_is_seed_deterministic():
-    rho_out = run_protocol(SearchOracle(n=2, target="11"))
-    a = sample_x_basis(rho_out, shots=100, seed=42)
-    b = sample_x_basis(rho_out, shots=100, seed=42)
+    probs = x_basis_probabilities(run_protocol(SearchOracle(n=2, target="11")))
+    a = sample_outcomes(probs, shots=100, seed=42)
+    b = sample_outcomes(probs, shots=100, seed=42)
     assert np.array_equal(a.outcomes, b.outcomes)
 
 
 def test_extract_target_from_batch():
     rho_out = run_protocol(SearchOracle(n=3, target="101"))
-    batch = sample_x_basis(rho_out, shots=60, seed=1)
+    batch = sample_outcomes(x_basis_probabilities(rho_out), shots=60, seed=1)
     assert batch.accepted.shape[0] >= 20
     found = extract_target(batch)
     assert np.array_equal(found, [1, 0, 1])
@@ -219,7 +218,8 @@ def test_scan_all_targets_recovers_plant():
     for n in (2, 3, 4):
         x = rng.integers(0, 2, n)
         rho_out = run_protocol(SearchOracle(n=n, target=x))
-        batch = sample_x_basis(rho_out, shots=6000, seed=int(rng.integers(1 << 20)))
+        probs = x_basis_probabilities(rho_out)
+        batch = sample_outcomes(probs, shots=6000, seed=int(rng.integers(1 << 20)))
         assert np.array_equal(scan_all_targets(batch.outcomes, n), x)
 
 
