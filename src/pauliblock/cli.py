@@ -37,7 +37,13 @@ from .lindblad import (
 )
 from .measure import MeasurementRecord, amplitude_from_traces, assistant_traces
 from .paulis import parse_bits
-from .search import SearchOracle, protocol_x_distribution, sample_outcomes, search_distribution
+from .search import (
+    SearchOracle,
+    run_protocol,
+    sample_outcomes,
+    search_distribution,
+    x_basis_probabilities,
+)
 from .suites import split_seeds
 
 SCHEMA_VERSION = 1
@@ -234,10 +240,12 @@ def cmd_search(args) -> int:
     target = args.target
     parse_bits(target, args.n)
     run_seed, calib_seed = split_seeds(args.seed, 2)
-    # acceptance estimated on a calibration batch of --shots draws; the cap
-    # is checked before the O(2^n) distribution is built
+    # acceptance estimated on a calibration batch of --shots draws; the
+    # bounds are checked before the O(2^n) distribution is built
+    if args.shots < 1:
+        raise ValueError(f"--shots must be at least 1, got {args.shots}")
     check_qubits(args.shots, MAX_SHOTS, "sample_outcomes", unit="shots")
-    probs = protocol_x_distribution(SearchOracle(n=args.n, target=target))
+    probs = x_basis_probabilities(run_protocol(SearchOracle(n=args.n, target=target)))
     batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     try:
         found, stats = search_distribution(probs, seed=run_seed)

@@ -11,7 +11,7 @@ those class values (see NdmeState).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,22 +93,6 @@ def class_trace(c: np.ndarray) -> complex:
     return c.shape[2] * (c[0, 0, 0] + c[1, 1, 0])
 
 
-def rho_classes(rho: np.ndarray) -> np.ndarray:
-    """XOR-class values c[a, b, delta] of a (1+n)-qubit rho, read off row 0 of each block.
-
-    Raises EncodingError unless every block is XOR-class constant up to
-    rounding (1e-12), rho_ab[j, k] = c[a, b, j ^ k].
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0] // 2
-    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
-    classes = blocks[:, :, 0, :].copy()
-    resid = np.abs(blocks - classes[:, :, xor_grid(num_qubits(d))]).max()
-    if not resid <= 1e-12:  # NaN fails too
-        raise EncodingError(f"rho blocks differ from their XOR-class values by {resid:.3e}")
-    return classes
-
-
 def sector_matrix(coeffs: np.ndarray) -> np.ndarray:
     """Matrix 2^(-n/2) sum_alpha coeffs_alpha Q_alpha (no norm requirement)."""
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
@@ -154,36 +138,24 @@ class NdmeState:
     Every state is XOR-class constant in each block,
     rho_ab[j, k] = classes[a, b, j ^ k], and is held as those class values,
     an array of shape (2, 2, 2^n); `rho` expands them on first access, up
-    to STATE_QUBITS.  A rho given instead is read once by rho_classes,
-    which raises EncodingError off the XOR classes, and is kept as that
-    expansion.
+    to STATE_QUBITS.
     Without an explicit gamma, gamma = 2^(n/2) ||classes[0, 1]||.
     """
 
-    def __init__(self, n: int, rho=None, gamma: float | None = None, classes=None):
-        if (rho is None) == (classes is None):
-            raise ValueError("an NdmeState holds exactly one of rho and classes")
+    def __init__(self, n: int, classes: np.ndarray, gamma: float | None = None):
         self.n = n
-        self.classes = rho_classes(rho) if classes is None else classes
-        self._rho = rho
+        self.classes = classes
         if gamma is None:
-            gamma = 2.0 ** (n / 2) * float(np.linalg.norm(self.classes[0, 1]))
+            gamma = 2.0 ** (n / 2) * float(np.linalg.norm(classes[0, 1]))
         self.gamma = gamma
 
-    @property
+    @cached_property
     def rho(self) -> np.ndarray:
-        if self._rho is None:
-            check_qubits(self.n, STATE_QUBITS, "NdmeState.rho")
-            self._rho = xor_class_blocks(self.classes)
-        return self._rho
+        check_qubits(self.n, STATE_QUBITS, "NdmeState.rho")
+        return xor_class_blocks(self.classes)
 
     def block(self) -> np.ndarray:
         return ndme_block(self.rho)
-
-
-def state_from_rho(rho: np.ndarray) -> NdmeState:
-    """The NdmeState holding a class-constant (1+n)-qubit rho, at gamma 2^(n/2) ||c_01||."""
-    return NdmeState(n=num_qubits(rho.shape[0] // 2), rho=rho)
 
 
 def gamma_upper_bound(c) -> float:

@@ -6,8 +6,8 @@ class DimensionError(ValueError):
 
 
 # Size policy: the largest size each kind of allocation accepts.
-STATE_QUBITS = 10  # dense (1+n)-qubit density matrices (NdmeState.rho, dense search), 64 MB at n = 10
-VECTOR_QUBITS = 20  # length-2^n vectors: class states, search class sums, statevectors
+STATE_QUBITS = 10  # dense (1+n)-qubit density matrices (NdmeState.rho, oracle_apply), 64 MB at n = 10
+VECTOR_QUBITS = 20  # length-2^n vectors: class states, statevectors
 REFERENCE_QUBITS = 6  # dense brute-force references (ITE, Bell frame, eigensolves)
 OPERATOR_QUBITS = 8  # dense n-qubit operators: circuit unitaries
 CBE_QUBITS = 4  # dense block-encoding operators on 2n qubits

@@ -6,9 +6,9 @@ diagonal blocks to the maximally mixed state while projecting the
 off-diagonal blocks onto the single string matching the planted target.
 Net effect on the X (x) Q_alpha operators: the target string is kept at
 scale 1/3, every other string is negated at scale 1/3.  Every output block
-is XOR-class constant, B_ab[j, k] = c_ab[j ^ k], so states are held as the
-block class sums s[a, b, delta] = sum_j B_ab[j, j ^ delta]; the oracle reads
-nothing else of its input.
+is XOR-class constant, B_ab[j, k] = c_ab[j ^ k], so the oracle acts on the
+class values c[a, b, delta] of an NdmeState and reads nothing else of its
+input.
 
 The protocol mixes one oracle application into a fresh uniform state,
 samples the result in the X basis, discards the two outcomes attributable
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import block_coefficients, hadamard_transform, xor_class_blocks, xor_class_sums
+from .encoding import NdmeState, hadamard_transform, xor_class_blocks, xor_class_sums
 from .errors import (
     KRAUS_SUM_QUBITS,
     MAX_SHOTS,
@@ -51,16 +51,16 @@ class SearchOracle:
         return bits_to_index(self.target)
 
 
-def _oracle_sums(s: np.ndarray, xi: int) -> np.ndarray:
-    """The oracle (2/3) C_x + (1/3) C_I on block class sums.
+def _oracle_classes(c: np.ndarray, xi: int) -> np.ndarray:
+    """The oracle (2/3) C_x + (1/3) C_I on class values.
 
-    C_I keeps every sum and negates those of the cross blocks; C_x keeps
-    only s[0] on the diagonal blocks and only s[xi] on the cross blocks.
+    C_I keeps every class and negates those of the cross blocks; C_x keeps
+    only c[0] on the diagonal blocks and only c[xi] on the cross blocks.
     """
-    kept = np.zeros_like(s)
-    kept[[0, 1], [0, 1], 0] = s[[0, 1], [0, 1], 0]
-    kept[[0, 1], [1, 0], xi] = s[[0, 1], [1, 0], xi]
-    twirled = s.copy()
+    kept = np.zeros_like(c)
+    kept[[0, 1], [0, 1], 0] = c[[0, 1], [0, 1], 0]
+    kept[[0, 1], [1, 0], xi] = c[[0, 1], [1, 0], xi]
+    twirled = c.copy()
     twirled[[0, 1], [1, 0]] *= -1.0
     return (2.0 / 3.0) * kept + (1.0 / 3.0) * twirled
 
@@ -73,8 +73,8 @@ def oracle_apply(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (2 * d, 2 * d):
         raise DimensionError(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
     blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
-    s = np.array([[xor_class_sums(B) for B in row] for row in blocks])
-    return xor_class_blocks(_oracle_sums(s, oracle.target_index) / d)
+    c = np.array([[xor_class_sums(B) for B in row] for row in blocks]) / d
+    return xor_class_blocks(_oracle_classes(c, oracle.target_index))
 
 
 def oracle_apply_kraus(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
@@ -107,22 +107,16 @@ def oracle_apply_kraus(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
     return (2.0 / 3.0) * out_x + (1.0 / 3.0) * out_i
 
 
-def _protocol_sums(oracle: SearchOracle) -> np.ndarray:
-    """Block class sums of the protocol output after one controlled query.
+def run_protocol(oracle: SearchOracle) -> NdmeState:
+    """The protocol output after one controlled oracle query, as class values.
 
     The controlled channel on the block-diagonal input reduces to the
     classical mixture eta/(1+eta) * rho_sys + 1/(1+eta) * C[rho_sys] with
-    rho_sys the uniform (n+1)-qubit state, whose class sums are all 1/2.
+    rho_sys the uniform (n+1)-qubit state, whose class values are all 1/2^(n+1).
     """
-    s = np.full((2, 2, 2**oracle.n), 0.5, dtype=complex)
+    c = np.full((2, 2, 2**oracle.n), 0.5 / 2**oracle.n, dtype=complex)
     w = ORACLE_ETA / (1.0 + ORACLE_ETA)
-    return w * s + (1.0 - w) * _oracle_sums(s, oracle.target_index)
-
-
-def run_protocol(oracle: SearchOracle) -> np.ndarray:
-    """Output density matrix after one controlled oracle query."""
-    check_qubits(oracle.n, STATE_QUBITS, "run_protocol")
-    return xor_class_blocks(_protocol_sums(oracle) / 2**oracle.n)
+    return NdmeState(oracle.n, w * c + (1.0 - w) * _oracle_classes(c, oracle.target_index))
 
 
 def rho_out_closed_form(n: int, x) -> np.ndarray:
@@ -138,19 +132,18 @@ def rho_out_closed_form(n: int, x) -> np.ndarray:
     return 0.5 * np.block([[diag, off], [off, diag]])
 
 
-def _x_distribution(class_sums: np.ndarray) -> np.ndarray:
-    """X-basis outcome distribution from the XOR-class sums S of a whole state.
+def x_basis_probabilities(state: NdmeState) -> np.ndarray:
+    """Outcome distribution of measuring every qubit of a class state in the X basis.
 
-    The diagonal of H rho H depends on rho only through S_delta =
-    sum_J rho[J, J ^ delta]: p_beta = (1/D) sum_delta (-1)^(beta.delta) S_delta.
+    The diagonal of H rho H depends on rho only through its XOR-class sums
+    S_(e, delta) = sum_J rho[J, J ^ (e, delta)] = 2^n (c_0e + c_1(1-e))[delta]:
+    p_beta is proportional to sum_Delta (-1)^(beta.Delta) S_Delta, one
+    Walsh-Hadamard transform of length 2^(n+1) and no dense rho.
     """
-    probs = np.clip(hadamard_transform(class_sums).real, 0.0, None)
+    c = state.classes
+    sums = np.concatenate([c[0, 0] + c[1, 1], c[0, 1] + c[1, 0]])
+    probs = np.clip(hadamard_transform(sums).real, 0.0, None)
     return probs / probs.sum()
-
-
-def x_basis_probabilities(rho_out: np.ndarray) -> np.ndarray:
-    """Outcome distribution of measuring every qubit in the X basis."""
-    return _x_distribution(block_coefficients(rho_out))
 
 
 @dataclass(frozen=True)
@@ -169,16 +162,6 @@ class SampleBatch:
 def _indices_to_bits(indices: np.ndarray, width: int) -> np.ndarray:
     shifts = np.arange(width - 1, -1, -1)
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-def protocol_x_distribution(oracle: SearchOracle) -> np.ndarray:
-    """X-basis outcome distribution of run_protocol(oracle), in O(2^n).
-
-    Reads the whole state's class sums off the block class sums of the
-    protocol output, which is never expanded.
-    """
-    s = _protocol_sums(oracle)
-    return _x_distribution(np.concatenate([s[0, 0] + s[1, 1], s[0, 1] + s[1, 0]]))
 
 
 def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleBatch:
@@ -260,11 +243,11 @@ def extract_target(batch: SampleBatch):
 def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
     """Full pipeline: protocol state, sampling, post-selection, GF(2) solve.
 
-    The protocol state stays as its block class sums and is never expanded,
-    so building the sampling distribution costs O(2^n) time and memory;
+    The protocol state stays as its class values and is never expanded, so
+    building the sampling distribution costs O(2^n) time and memory;
     search_distribution does the rest.
     """
-    probs = protocol_x_distribution(SearchOracle(n=n, target=x))
+    probs = x_basis_probabilities(run_protocol(SearchOracle(n=n, target=x)))
     return search_distribution(probs, seed, max_batch_retries)
 
 

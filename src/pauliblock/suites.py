@@ -20,7 +20,6 @@ from .encoding import (
     gamma_upper_bound,
     hadamard_transform,
     s_from_amplitudes,
-    state_from_rho,
 )
 from .errors import VECTOR_QUBITS, check_qubits
 from .lindblad import (
@@ -257,10 +256,10 @@ def purification_suite(seed, tol: float = 1e-10) -> dict:
     worst = 0.0
     for n in (1, 2, 3):
         states = [encode_state_optimal(oracle.random_statevector(n, rng)) for _ in range(3)]
-        dim = 2 ** (n + 1)
-        states.append(NdmeState(n=n, rho=np.eye(dim) / dim, gamma=0.0))
-        x = rng.integers(0, 2, n)
-        states.append(state_from_rho(run_protocol(SearchOracle(n=n, target=x))))
+        mixed = np.zeros((2, 2, 2**n), dtype=complex)
+        mixed[[0, 1], [0, 1], 0] = 2.0 ** -(n + 1)
+        states.append(NdmeState(n, mixed, gamma=0.0))
+        states.append(run_protocol(SearchOracle(n=n, target=rng.integers(0, 2, n))))
         for state in states:
             for alpha in ([0] * n, rng.integers(0, 2, n)):
                 worst = max(worst, hle_identity_check(state, alpha))
@@ -425,7 +424,7 @@ def oracle_identity_suite(seed, tol: float = 1e-12) -> dict:
     worst_oott = 0.0
     for n in range(1, 7):
         x = rng.integers(0, 2, n)
-        got = run_protocol(SearchOracle(n=n, target=x))
+        got = run_protocol(SearchOracle(n=n, target=x)).rho
         worst_oott = max(worst_oott, float(np.abs(got - rho_out_closed_form(n, x)).max()))
     ok = max(worst_pso, worst_path, worst_verify, worst_oott) < tol
     return {

@@ -27,10 +27,8 @@ from pauliblock.encoding import (
     NdmeState,
     decode_state,
     encode_state_optimal,
-    state_from_rho,
-    xor_class_blocks,
 )
-from pauliblock.errors import ChannelError, DimensionError, EncodingError
+from pauliblock.errors import ChannelError, DimensionError
 from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, I2, PauliString, X, Y, Z, bell_frame, embed_operator
 from pauliblock.search import SearchOracle, run_protocol
@@ -454,7 +452,8 @@ def test_transfer_matches_the_dense_kernel(n):
         out = apply_channel(ch, state)
         want = conjugate_pairs(state.rho, np.array(ch.pairs), ch.qubits)
         assert np.abs(out.rho - want).max() <= 1e-15
-        assert abs(out.gamma - state_from_rho(want).gamma) <= 1e-15
+        # the default gamma of a class state, 2^(n/2) ||c_01||, read off want's block-01 row 0
+        assert abs(out.gamma - 2.0 ** (n / 2) * float(np.linalg.norm(want[0, 2**n:]))) <= 1e-15
 
 
 def test_transfer_is_computed_at_construction_once_per_base(monkeypatch):
@@ -481,26 +480,18 @@ def test_transfer_is_computed_at_construction_once_per_base(monkeypatch):
     assert calls == []
 
 
-def test_dense_held_states_keep_their_array_and_read_their_classes():
+def test_class_built_states_match_the_dense_kernel():
+    # the mixed state, the search protocol output and a trace-2 multiple of an encoded state
     n = 2
-    d = 2**n
     st0 = encode_state_optimal(random_statevector(n, np.random.default_rng(6)))
-    protocol = run_protocol(SearchOracle(n=n, target="10"))
-    for rho in (np.eye(2 * d) / (2 * d), protocol, 2 * st0.rho):
-        st = NdmeState(n=n, rho=rho, gamma=0.0)
-        assert st.rho is rho
-        assert np.array_equal(xor_class_blocks(st.classes), rho)
-        assert state_from_rho(rho).rho is rho
-        ch = embed_channel(gate_channel("HSH"), [1], n)
-        want = conjugate_pairs(rho, np.array(ch.pairs), ch.qubits)
+    mixed = np.zeros((2, 2, 2**n), dtype=complex)
+    mixed[[0, 1], [0, 1], 0] = 2.0 ** -(n + 1)
+    states = (
+        NdmeState(n, mixed, gamma=0.0),
+        run_protocol(SearchOracle(n=n, target="10")),
+        NdmeState(n, 2 * st0.classes, gamma=0.0),
+    )
+    ch = embed_channel(gate_channel("HSH"), [1], n)
+    for st in states:
+        want = conjugate_pairs(st.rho, np.array(ch.pairs), ch.qubits)
         assert np.abs(apply_channel(ch, st).rho - want).max() <= 1e-15
-
-
-def test_a_rho_off_the_xor_classes_has_no_class_values():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = m @ m.conj().T / np.trace(m @ m.conj().T)
-    with pytest.raises(EncodingError, match="XOR-class"):
-        state_from_rho(rho)
-    with pytest.raises(EncodingError, match="XOR-class"):
-        NdmeState(n=1, rho=rho, gamma=0.5)

@@ -602,13 +602,26 @@ def test_search_computes_the_x_distribution_once(capsys, monkeypatch):
     from pauliblock import search
 
     calls = []
-    original = search.protocol_x_distribution
-    counted = lambda oracle: calls.append(oracle) or original(oracle)  # noqa: E731
-    monkeypatch.setattr(cli, "protocol_x_distribution", counted)
-    monkeypatch.setattr(search, "protocol_x_distribution", counted)
+    for name in ("run_protocol", "x_basis_probabilities"):
+        original = getattr(search, name)
+        counted = lambda arg, name=name, fn=original: calls.append(name) or fn(arg)  # noqa: E731
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(search, name, counted)
     code, out, _ = run_cli(["search", "--n", "6", "--target", "101101", "--seed", "3"], capsys)
     assert code == 0 and json.loads(out)["found"] == "101101"
-    assert len(calls) == 1
+    assert calls == ["run_protocol", "x_basis_probabilities"]
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_nonpositive_shots_are_refused_before_the_protocol_runs(shots, capsys, monkeypatch):
+    def refuse(oracle):
+        raise AssertionError("the protocol ran before --shots was checked")
+
+    monkeypatch.setattr(cli, "run_protocol", refuse)
+    argv = ["search", "--n", "20", "--target", "1" * 20, "--shots", str(shots)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --shots must be at least 1, got {shots}\n"
 
 
 def test_lindblad_decay_fit_on_one_snapshot_is_input_error(tmp_path, capsys):

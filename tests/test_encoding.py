@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pauliblock.encoding import (
+    NdmeState,
     block_coefficients,
     check_amplitudes,
     decode_state,
@@ -14,7 +15,6 @@ from pauliblock.encoding import (
     pqc_decode,
     s_from_amplitudes,
     sector_matrix,
-    state_from_rho,
     validate_ndme,
     xor_class_blocks,
     xor_class_matrix,
@@ -299,13 +299,12 @@ def test_xor_class_blocks_is_the_block_expansion():
         assert np.array_equal(xor_class_blocks(s / d), _block_expansion(s / d))
 
 
-def test_state_from_rho_gamma_is_the_inline_formula():
+def test_default_gamma_is_the_inline_formula():
     rng = np.random.default_rng(8)
     for n in range(1, 6):
         d = 2**n
-        rho = xor_class_blocks(encode_state_optimal(random_statevector(n, rng)).classes)
-        st = state_from_rho(rho)
-        assert st.n == n and st.rho is rho
+        st = NdmeState(n, encode_state_optimal(random_statevector(n, rng)).classes)
+        rho = st.rho
         assert st.gamma == 2.0 ** (n / 2) * float(np.linalg.norm(rho[0, d:]))
         assert abs(st.gamma - float(np.linalg.norm(block_coefficients(rho[:d, d:])))) <= 1e-15
 

@@ -22,6 +22,13 @@ def _plus(n):
     return np.full(2**n, 2.0 ** (-n / 2))
 
 
+def _mixed(n):
+    """The maximally mixed (1+n)-qubit state, held as its class values at gamma 0."""
+    c = np.zeros((2, 2, 2**n), dtype=complex)
+    c[[0, 1], [0, 1], 0] = 2.0 ** -(n + 1)
+    return NdmeState(n, c, gamma=0.0)
+
+
 def test_amplitude_on_uniform_state():
     n = 3
     st = encode_state_optimal(_plus(n))
@@ -66,7 +73,7 @@ def test_amplitude_recovers_complex_phases(n):
 
 
 def test_amplitude_degenerate_gamma():
-    st = NdmeState(n=1, rho=np.eye(4) / 4, gamma=0.0)
+    st = _mixed(1)
     with pytest.raises(EncodingError):
         amplitude_via_pauli(st, "0")
 
@@ -138,7 +145,7 @@ def test_hle_identity_pure_mixed_random():
     )
     assert 1 + np.trace(obs @ st.rho).real == pytest.approx(2.0, abs=1e-12)
 
-    mixed = NdmeState(n=n, rho=np.eye(2 ** (n + 1)) / 2 ** (n + 1), gamma=0.0)
+    mixed = _mixed(n)
     assert hle_identity_check(mixed, "01") < 1e-12
 
     rng = np.random.default_rng(3)
@@ -189,11 +196,9 @@ def _dense_hle_residual(state, alpha):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hle_identity_check_matches_dense_reference(n):
     rng = np.random.default_rng(60 + n)
-    d = 2**n
     states = [encode_state_optimal(random_statevector(n, rng)) for _ in range(3)]
-    states.append(NdmeState(n=n, rho=np.eye(2 * d) / (2 * d), gamma=0.0))
-    protocol = run_protocol(SearchOracle(n, rng.integers(0, 2, n)))
-    states.append(NdmeState(n=n, rho=protocol, gamma=0.0))
+    states.append(_mixed(n))
+    states.append(run_protocol(SearchOracle(n, rng.integers(0, 2, n))))
     for state in states:
         for alpha in ([0] * n, rng.integers(0, 2, n), [1] * n):
             got = hle_identity_check(state, alpha)

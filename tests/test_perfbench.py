@@ -34,3 +34,9 @@ def test_one_warm_up_item_of_each_kind_passes_its_check(harness, workload):
     for item in warm:
         checks = items.check_item(item, items.run_item(item))
         assert checks and all(c.ok for c in checks), item.label
+
+
+def test_every_ladder_rung_runs_at_two_qubits(harness):
+    ladder = importlib.import_module("ladder")
+    for name, (prepare, _, _) in ladder.PRIMITIVES.items():
+        assert prepare(2)() is not None, name

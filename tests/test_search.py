@@ -6,14 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pauliblock.encoding import xor_class_matrix, xor_class_sums
-from pauliblock.errors import MAX_SHOTS, VECTOR_QUBITS, DimensionError, SearchFailure, check_qubits
+from pauliblock import encoding, search
+from pauliblock.encoding import NdmeState, encode_state_optimal, xor_class_matrix, xor_class_sums
+from pauliblock.errors import (
+    MAX_SHOTS,
+    STATE_QUBITS,
+    VECTOR_QUBITS,
+    DimensionError,
+    SearchFailure,
+    check_qubits,
+)
+from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, PauliString, X, kron_all
 from pauliblock.search import (
     SearchOracle,
     _indices_to_bits,
-    _oracle_sums,
-    _protocol_sums,
+    _oracle_classes,
     bits_to_index,
     end_to_end_search,
     extract_target,
@@ -96,14 +104,14 @@ def test_verification_expectations():
 def test_protocol_output_matches_closed_form(n):
     rng = np.random.default_rng(20 + n)
     x = rng.integers(0, 2, n)
-    got = run_protocol(SearchOracle(n=n, target=x))
+    got = run_protocol(SearchOracle(n=n, target=x)).rho
     assert np.abs(got - rho_out_closed_form(n, x)).max() < 1e-12
 
 
 def test_protocol_output_block_and_traces():
     n = 2
     x = "10"
-    rho_out = run_protocol(SearchOracle(n=n, target=x))
+    rho_out = run_protocol(SearchOracle(n=n, target=x)).rho
     d = 2**n
     block = rho_out[:d, d:]
     assert np.abs(block - 0.5 * 2.0 ** -(n + 1) * _q_matrix(0b10, n)).max() < 1e-15
@@ -284,14 +292,36 @@ def test_class_sum_oracle_matches_kraus_and_twirl(case):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_x_basis_probabilities_match_two_sided_transform(n):
+    # encoded states, their mixtures, the protocol output and the mixed state
     rng = np.random.default_rng(40 + n)
-    dim = 2 ** (n + 1)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = kron_all([HADAMARD] * (n + 1))
-    for rho in (m @ m.conj().T / np.trace(m @ m.conj().T).real,
-                run_protocol(SearchOracle(n=n, target=rng.integers(0, 2, n)))):
-        want = np.clip(np.diag(h @ rho @ h).real, 0.0, None)
-        assert np.abs(x_basis_probabilities(rho) - want / want.sum()).max() < 1e-15
+    encoded = [encode_state_optimal(random_statevector(n, rng)) for _ in range(3)]
+    mixed = np.zeros((2, 2, 2**n), dtype=complex)
+    mixed[[0, 1], [0, 1], 0] = 2.0 ** -(n + 1)
+    states = encoded + [
+        NdmeState(n, p * a.classes + (1 - p) * b.classes)
+        for p, a, b in zip(rng.uniform(size=3), encoded, encoded[1:] + encoded[:1])
+    ]
+    states += [run_protocol(SearchOracle(n=n, target=rng.integers(0, 2, n))), NdmeState(n, mixed)]
+    for state in states:
+        want = np.clip(np.diag(h @ state.rho @ h).real, 0.0, None)
+        assert np.abs(x_basis_probabilities(state) - want / want.sum()).max() < 1e-15
+
+
+def test_search_readout_forms_no_dense_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense state was formed")
+
+    monkeypatch.setattr(encoding, "xor_class_blocks", refuse)
+    monkeypatch.setattr(search, "xor_class_blocks", refuse)
+    target = "1011001110100101"
+    found, _ = end_to_end_search(16, target, seed=2)
+    assert "".join(str(int(b)) for b in found) == target
+    state = run_protocol(SearchOracle(n=STATE_QUBITS + 1, target=[1] * (STATE_QUBITS + 1)))
+    probs = x_basis_probabilities(state)
+    assert probs.size == 2 ** (STATE_QUBITS + 2) and abs(probs.sum() - 1.0) < 1e-12
+    with pytest.raises(DimensionError, match="capped at"):
+        state.rho
 
 
 # (n, seed, target, oracle_queries, independence_batches) as returned by the
@@ -330,9 +360,9 @@ def test_search_suite_rejects_empty_or_nonpositive_ns(ns):
         search_suite(0, runs=2, ns=ns)
 
 
-def _block_expansion(s):
-    """np.block of the four XOR-class matrices of s / d (reference)."""
-    return np.block([[xor_class_matrix(c) for c in row] for row in s / s.shape[2]])
+def _block_expansion(c):
+    """np.block of the four XOR-class matrices of the class values c (reference)."""
+    return np.block([[xor_class_matrix(v) for v in row] for row in c])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -343,9 +373,10 @@ def test_dense_outputs_are_the_block_expansion_of_class_sums(n):
     rho = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
     blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
     s = np.array([[xor_class_sums(B) for B in row] for row in blocks])
-    want = _block_expansion(_oracle_sums(s, orc.target_index))
+    want = _block_expansion(_oracle_classes(s / d, orc.target_index))
     assert np.array_equal(oracle_apply(orc, rho), want)
-    assert np.array_equal(run_protocol(orc), _block_expansion(_protocol_sums(orc)))
+    state = run_protocol(orc)
+    assert np.array_equal(state.rho, _block_expansion(state.classes))
 
 
 def test_sample_outcomes_refuses_shots_beyond_the_cap():
