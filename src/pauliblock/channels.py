@@ -119,8 +119,8 @@ def _checked_qubits(qubits, n: int) -> tuple:
     return qubits
 
 
-def check_cptp(ch: KrausPairChannel, atol: float = 1e-12) -> float:
-    """Max deviation of sum K^dag K and sum L^dag L from the identity."""
+def check_cptp(ch: KrausPairChannel) -> float:
+    """Max deviation of sum K^dag K and sum L^dag L from the identity; ChannelError above 1e-12."""
     dim = 2 ** len(ch.qubits)
     ksum = np.zeros((dim, dim), dtype=complex)
     lsum = np.zeros((dim, dim), dtype=complex)
@@ -128,45 +128,27 @@ def check_cptp(ch: KrausPairChannel, atol: float = 1e-12) -> float:
         ksum += K.conj().T @ K
         lsum += L.conj().T @ L
     resid = np.abs(np.stack([ksum, lsum]) - np.eye(dim)).max()
-    if not resid <= atol:  # NaN fails too
+    if not resid <= 1e-12:  # NaN fails too
         raise ChannelError(f"Kraus sums deviate from identity by {resid:.3e}")
     return resid
 
 
 def conjugate_pairs(rho: np.ndarray, blocks: np.ndarray, qubits: tuple) -> np.ndarray:
-    """sum_i diag(K_i, L_i) rho diag(K_i, L_i)^dag for a raw (2d, 2d) rho.
+    """The literal Kraus sum sum_i F_i rho F_i^dag for a raw (2d, 2d) rho.
 
     blocks stacks the pairs as one (pair, 2, local, local) array holding
     (K_i, L_i) on the given encoding qubits; the pairs need not be trace
-    preserving.  rho is viewed as a tensor with one axis per row and per
-    column qubit (assistant first) and transposed once, so that the
-    assistant and the pairs' qubits lead on the row side and trail on the
-    column side; a full-width stack needs no transpose.  Each pair then
-    costs two small products into reused buffers: K and L on the top and
-    bottom row halves, then conj(K) and conj(L) on the left and right
-    column halves.
+    preserving.  F_i = |0><0| (x) K_i + |1><1| (x) L_i is placed on the
+    assistant and those qubits by embed_operator, as a dense reference for
+    the class kernel.
     """
     n = num_qubits(rho.shape[0]) - 1
-    local = 2 ** len(qubits)
-    # index 0 is the assistant row, 1 + q qubit q's row; columns follow at n + 1
-    lead = [0] + [1 + q for q in qubits]
-    rest = [1 + q for q in range(n) if q not in qubits]
-    lead_cols = [n + 1 + a for a in lead]
-    rest_cols = [n + 1 + a for a in rest]
-    order = lead + rest + rest_cols + lead_cols
-    tensor = np.ascontiguousarray(rho.reshape([2] * (2 * n + 2)).transpose(order))
-    rows = tensor.reshape(2, local, -1)
-    half = np.empty(rows.shape, dtype=complex)
-    cols = half.reshape(-1, 2, local).transpose(1, 2, 0)
-    acc = np.zeros((2, local, rows.size // (2 * local)), dtype=complex)
-    term = np.empty_like(acc)
-    for pair, conj in zip(blocks, blocks.conj()):
-        np.matmul(pair, rows, out=half)
-        np.matmul(conj, cols, out=term)
-        acc += term
-    # acc holds the column-side lead first, then the row side and the rest
-    acc_order = lead_cols + lead + rest + rest_cols
-    return acc.reshape([2] * (2 * n + 2)).transpose(np.argsort(acc_order)).reshape(rho.shape)
+    placed = [0] + [1 + q for q in qubits]
+    out = np.zeros(rho.shape, dtype=complex)
+    for K, L in blocks:
+        F = embed_operator(np.kron(np.diag([1, 0]), K) + np.kron(np.diag([0, 1]), L), placed, n + 1)
+        out += F @ rho @ F.conj().T
+    return out
 
 
 def _transfer_and_leak(pairs) -> tuple:

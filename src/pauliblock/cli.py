@@ -244,7 +244,7 @@ def cmd_search(args) -> int:
     # bounds are checked before the O(2^n) distribution is built
     if args.shots < 1:
         raise ValueError(f"--shots must be at least 1, got {args.shots}")
-    check_qubits(args.shots, MAX_SHOTS, "sample_outcomes", unit="shots")
+    check_qubits(args.shots, MAX_SHOTS, "--shots", unit="shots")
     probs = x_basis_probabilities(run_protocol(SearchOracle(n=args.n, target=target)))
     batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     try:

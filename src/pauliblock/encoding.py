@@ -110,11 +110,11 @@ def block_coefficients(B: np.ndarray) -> np.ndarray:
     return traces * 2.0 ** (-num_qubits(traces.size) / 2)
 
 
-def pqc_decode(S: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Amplitudes of a carrier matrix; rejects support outside the {I, X} sector."""
+def pqc_decode(S: np.ndarray) -> np.ndarray:
+    """Amplitudes of a carrier matrix; rejects support above 1e-12 outside the {I, X} sector."""
     c = block_coefficients(S)
     resid = np.abs(np.asarray(S, dtype=complex) - sector_matrix(c)).max()
-    if not resid <= atol:  # NaN fails too
+    if not resid <= 1e-12:  # NaN fails too
         raise EncodingError(
             f"matrix has weight {resid:.3e} outside the I/X Pauli sector"
         )
@@ -179,20 +179,20 @@ def encode_state_optimal(c) -> NdmeState:
     check_qubits(n, VECTOR_QUBITS, "encode_state_optimal")
     chi = hadamard_transform(c)
     mag = np.abs(chi)
-    total = mag.sum()
-    if total <= 0.0:  # impossible for unit norm, guards divide-by-zero
-        raise EncodingError("all Hadamard-transform coefficients vanish")
-    gamma = 1.0 / (2.0 * total)
+    gamma = 1.0 / (2.0 * mag.sum())  # positive: chi is a unit vector
     diag = hadamard_transform(mag)
     classes = gamma * 2.0 ** (-n / 2) * np.array([[diag, c], [c.conj(), diag]])
     return NdmeState(n=n, gamma=gamma, classes=classes)
 
 
-def decode_state(state: NdmeState, atol: float = 1e-12) -> np.ndarray:
-    """Amplitudes carried by an NdmeState (block / gamma, sector-checked)."""
-    if state.gamma <= 0.0:
-        raise EncodingError("encoding factor must be positive")
-    return pqc_decode(state.block() / state.gamma, atol=atol)
+def decode_state(state: NdmeState) -> np.ndarray:
+    """Amplitudes carried by an NdmeState, 2^(n/2) c_01 / gamma, read from its class values."""
+    if not state.gamma > 0.0:  # NaN fails too
+        raise EncodingError(f"encoding factor must be positive, got {state.gamma}")
+    c = 2.0 ** (state.n / 2) * state.classes[0, 1] / state.gamma
+    if not np.isfinite(c).all():
+        raise EncodingError("decoded amplitudes are not finite")
+    return c
 
 
 def validate_ndme(state: NdmeState) -> dict:

@@ -115,9 +115,9 @@ class PauliString:
         return cls(phase, s)
 
     @classmethod
-    def from_bits(cls, bits, one: str = "X") -> "PauliString":
-        """The string with `one` where a bit is 1 and I where it is 0."""
-        letters = "".join(one if int(b) else "I" for b in bits)
+    def from_bits(cls, bits) -> "PauliString":
+        """The string with X where a bit is 1 and I where it is 0."""
+        letters = "".join("X" if int(b) else "I" for b in bits)
         return cls(1, letters)
 
     @property

@@ -55,14 +55,14 @@ def _oracle_classes(c: np.ndarray, xi: int) -> np.ndarray:
     """The oracle (2/3) C_x + (1/3) C_I on class values.
 
     C_I keeps every class and negates those of the cross blocks; C_x keeps
-    only c[0] on the diagonal blocks and only c[xi] on the cross blocks.
+    only c[0] on the diagonal blocks and only c[xi] on the cross blocks, so
+    the output is the C_I term with the four kept classes raised in place.
     """
-    kept = np.zeros_like(c)
-    kept[[0, 1], [0, 1], 0] = c[[0, 1], [0, 1], 0]
-    kept[[0, 1], [1, 0], xi] = c[[0, 1], [1, 0], xi]
-    twirled = c.copy()
-    twirled[[0, 1], [1, 0]] *= -1.0
-    return (2.0 / 3.0) * kept + (1.0 / 3.0) * twirled
+    out = (1.0 / 3.0) * c
+    out[[0, 1], [1, 0]] *= -1.0
+    for spikes in (([0, 1], [0, 1], 0), ([0, 1], [1, 0], xi)):
+        out[spikes] = (2.0 / 3.0) * c[spikes] + out[spikes]
+    return out
 
 
 def oracle_apply(oracle: SearchOracle, rho: np.ndarray) -> np.ndarray:
@@ -116,7 +116,10 @@ def run_protocol(oracle: SearchOracle) -> NdmeState:
     """
     c = np.full((2, 2, 2**oracle.n), 0.5 / 2**oracle.n, dtype=complex)
     w = ORACLE_ETA / (1.0 + ORACLE_ETA)
-    return NdmeState(oracle.n, w * c + (1.0 - w) * _oracle_classes(c, oracle.target_index))
+    out = _oracle_classes(c, oracle.target_index)
+    out *= 1.0 - w
+    out += w * 0.5 / 2**oracle.n
+    return NdmeState(oracle.n, out)
 
 
 def rho_out_closed_form(n: int, x) -> np.ndarray:
@@ -151,7 +154,6 @@ class SampleBatch:
     """X-basis outcomes as rows of n+1 bits, with the post-selection mask."""
 
     outcomes: np.ndarray
-    seed: object
     accepted_mask: np.ndarray
 
     @property
@@ -179,7 +181,7 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleBatch:
     indices = rng.choice(probs.size, size=shots, p=probs)
     outcomes = _indices_to_bits(indices, width)
     rejected = (indices == 0) | (indices == probs.size // 2)
-    return SampleBatch(outcomes=outcomes, seed=seed, accepted_mask=~rejected)
+    return SampleBatch(outcomes=outcomes, accepted_mask=~rejected)
 
 
 def _gf2_eliminate(M: np.ndarray, cols: int):
@@ -273,7 +275,7 @@ def search_distribution(probs: np.ndarray, seed, max_batch_retries: int = 64):
             outcomes = np.concatenate([outcomes, drawn.outcomes])
             kept = np.concatenate([kept, drawn.accepted_mask])
         used = int(np.flatnonzero(kept)[n - 1]) + 1
-        batch = SampleBatch(outcomes=outcomes[:used], seed=seed, accepted_mask=kept[:used])
+        batch = SampleBatch(outcomes=outcomes[:used], accepted_mask=kept[:used])
         solution = extract_target(batch)
         outcomes, kept = outcomes[used:], kept[used:]
         queries += used

@@ -15,7 +15,7 @@ from .channels import apply_channel, gate_channel, gate_target_unitary, pauli_ch
 from .compiler import Circuit, compile_circuit, predicted_signal_factor, run_program
 from .encoding import (
     NdmeState,
-    block_coefficients,
+    decode_state,
     encode_state_optimal,
     gamma_upper_bound,
     hadamard_transform,
@@ -82,8 +82,9 @@ def split_seeds(seed, count: int) -> list:
     return list(ss.spawn(count))
 
 
-def pauli_bell_suite(tol: float = 1e-12) -> dict:
+def pauli_bell_suite() -> dict:
     """The four single-qubit vectorization fixtures, asserted entrywise."""
+    tol = 1e-12
     fixtures = {
         "I": (I2, np.array([1, 0, 0, 1], dtype=complex)),
         "Z": (Z, np.array([1, 0, 0, -1], dtype=complex)),
@@ -119,8 +120,9 @@ def gate_library_suite(tol: float = 1e-12) -> dict:
     }
 
 
-def gamma_bound_suite(seed, samples: int = 1000, tol: float = 1e-12) -> dict:
+def gamma_bound_suite(seed) -> dict:
     """Encoding-factor bound: equality for the optimal encoder, endpoints exact."""
+    samples, tol = 1000, 1e-12
     rng = np.random.default_rng(seed)
     worst_eq = 0.0
     worst_chain = 0.0
@@ -134,7 +136,7 @@ def gamma_bound_suite(seed, samples: int = 1000, tol: float = 1e-12) -> dict:
         state = encode_state_optimal(c)
         worst_eq = max(worst_eq, abs(state.gamma - bound))
         # inequality chain: gamma * sum |chi| <= 1/2 for the produced state
-        chi = hadamard_transform(block_coefficients(state.block()) / state.gamma)
+        chi = hadamard_transform(decode_state(state))
         worst_chain = max(worst_chain, state.gamma * np.abs(chi).sum() - 0.5)
     endpoints = 0.0
     for n in (1, 2, 3, 4):
@@ -184,8 +186,9 @@ def random_circuit(rng: np.random.Generator, n: int, k: int, extra_gates: int = 
     return Circuit(n=n, gates=tuple(gates))
 
 
-def amplitude_suite(seed, circuits: int = 50, tol: float = 1e-9) -> dict:
+def amplitude_suite(seed) -> dict:
     """Pipeline amplitudes against the statevector oracle, plus signal scale."""
+    circuits, tol = 50, 1e-9
     rng = np.random.default_rng(seed)
     worst_amp = 0.0
     worst_signal = 0.0
@@ -224,8 +227,9 @@ def _random_hermitian_string(rng: np.random.Generator, n: int) -> PauliString:
     return PauliString(phase, letters)
 
 
-def swap_expectation_suite(seed, pairs: int = 20, tol: float = 1e-10) -> dict:
+def swap_expectation_suite(seed) -> dict:
     """Swap-trace readout of Pauli expectation values on random states."""
+    pairs, tol = 20, 1e-10
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_imag = 0.0
@@ -250,8 +254,9 @@ def swap_expectation_suite(seed, pairs: int = 20, tol: float = 1e-10) -> dict:
     }
 
 
-def purification_suite(seed, tol: float = 1e-10) -> dict:
+def purification_suite(seed) -> dict:
     """Purification readout identity across encoded, mixed, and protocol states."""
+    tol = 1e-10
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (1, 2, 3):
@@ -304,8 +309,9 @@ BELL_HAMILTONIAN = "qubits 2\n1.0 -ZZ\n1.0 -XX\n"
 FRUSTRATED_HAMILTONIAN = "qubits 1\n1.0 +X\n1.0 +Z\n"
 
 
-def ite_suite(seed, tol: float = 1e-6, rate_tol: float = 0.05, dt: float = 1e-3) -> dict:
+def ite_suite(seed) -> dict:
     """Imaginary-time equivalence, decay of frustrated cases, subspace ranks."""
+    tol, rate_tol, dt = 1e-6, 0.05, 1e-3
     rng = np.random.default_rng(seed)
     bell = parse_hamiltonian(BELL_HAMILTONIAN)
     plusplus = np.full(4, 0.5)
@@ -361,8 +367,9 @@ def ite_suite(seed, tol: float = 1e-6, rate_tol: float = 0.05, dt: float = 1e-3)
     }
 
 
-def steadiness_suite(dt: float = 1e-3) -> dict:
+def steadiness_suite() -> dict:
     """Coherence observables: steady in the ground sector, moving outside it."""
+    dt = 1e-3
     bell = parse_hamiltonian(BELL_HAMILTONIAN)
     jumps = build_jumps(bell)
     record = 10
@@ -395,8 +402,9 @@ def steadiness_suite(dt: float = 1e-3) -> dict:
     }
 
 
-def oracle_identity_suite(seed, tol: float = 1e-12) -> dict:
+def oracle_identity_suite(seed) -> dict:
     """Sign action, closed-form output, verification traces, fast vs literal."""
+    tol = 1e-12
     rng = np.random.default_rng(seed)
     worst_pso = 0.0
     worst_path = 0.0

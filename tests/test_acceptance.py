@@ -22,8 +22,9 @@ def _report(number, title, **facts):
 
 def test_criterion_01_pauli_bell_correspondence():
     start = time.perf_counter()
-    result = suites.pauli_bell_suite(tol=1e-12)
+    result = suites.pauli_bell_suite()
     elapsed = time.perf_counter() - start
+    assert result["tol"] == 1e-12
     assert result["residual"] < 1e-12
     assert elapsed < 1.0
     _report(1, "Pauli-Bell correspondence exact", residual=result["residual"], seconds=elapsed)
@@ -45,8 +46,9 @@ def test_criterion_02_gate_library():
 
 def test_criterion_03_gamma_bound():
     start = time.perf_counter()
-    result = suites.gamma_bound_suite(SEED, samples=1000, tol=1e-12)
+    result = suites.gamma_bound_suite(SEED)
     elapsed = time.perf_counter() - start
+    assert result["samples"] == 1000 and result["tol"] == 1e-12
     assert result["pass"], result
     assert result["equality_residual"] < 1e-12
     assert result["endpoint_residual"] == 0.0
@@ -62,8 +64,9 @@ def test_criterion_03_gamma_bound():
 
 def test_criterion_04_amplitude_mechanism():
     start = time.perf_counter()
-    result = suites.amplitude_suite(SEED, circuits=50, tol=1e-9)
+    result = suites.amplitude_suite(SEED)
     elapsed = time.perf_counter() - start
+    assert result["circuits"] == 50 and result["tol"] == 1e-9
     assert result["pass"], result
     assert result["amplitude_residual"] < 1e-9
     assert result["signal_residual"] < 1e-9
@@ -79,8 +82,9 @@ def test_criterion_04_amplitude_mechanism():
 
 def test_criterion_05_swap_expectation():
     start = time.perf_counter()
-    result = suites.swap_expectation_suite(SEED, pairs=20, tol=1e-10)
+    result = suites.swap_expectation_suite(SEED)
     elapsed = time.perf_counter() - start
+    assert result["pairs"] == 20 and result["tol"] == 1e-10
     assert result["pass"], result
     assert result["residual"] < 1e-10
     assert elapsed < 30.0
@@ -89,8 +93,9 @@ def test_criterion_05_swap_expectation():
 
 def test_criterion_06_purification_identity():
     start = time.perf_counter()
-    result = suites.purification_suite(SEED, tol=1e-10)
+    result = suites.purification_suite(SEED)
     elapsed = time.perf_counter() - start
+    assert result["tol"] == 1e-10
     assert result["pass"], result
     assert result["residual"] < 1e-10
     assert elapsed < 10.0
@@ -102,8 +107,9 @@ ITE_RESULT = {}
 
 def test_criterion_07_ite_equivalence():
     start = time.perf_counter()
-    result = suites.ite_suite(SEED, tol=1e-6, rate_tol=0.05, dt=1e-3)
+    result = suites.ite_suite(SEED)
     elapsed = time.perf_counter() - start
+    assert result["tol"] == 1e-6 and result["rate_tol"] == 0.05
     ITE_RESULT.update(result)
     assert result["pass"], result
     assert result["block_residual"] < 1e-6
@@ -120,7 +126,7 @@ def test_criterion_07_ite_equivalence():
 
 def test_criterion_08_stabilizer_coherence_steadiness():
     start = time.perf_counter()
-    result = suites.steadiness_suite(dt=1e-3)
+    result = suites.steadiness_suite()
     elapsed = time.perf_counter() - start
     assert result["pass"], result
     assert result["ground_derivative"] < 1e-6
@@ -136,8 +142,9 @@ def test_criterion_08_stabilizer_coherence_steadiness():
 
 def test_criterion_09_search_oracle_identities():
     start = time.perf_counter()
-    result = suites.oracle_identity_suite(SEED, tol=1e-12)
+    result = suites.oracle_identity_suite(SEED)
     elapsed = time.perf_counter() - start
+    assert result["tol"] == 1e-12
     assert result["pass"], result
     assert result["sign_action_residual"] < 1e-12
     assert result["closed_form_residual"] < 1e-12

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ def test_embedded_channel_matches_literal_kraus_sum(gate, data):
     state = encode_state_optimal(random_statevector(n, rng))
     out = apply_channel(embed_channel(base, qubits, n), state)
     assert np.abs(out.rho - _literal_kraus_sum(base, qubits, n, state.rho)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugate_pairs_is_the_literal_kraus_sum(n):
+    # random pairs that are not trace preserving, on placements in and out of order
+    rng = np.random.default_rng(60 + n)
+    placements = [tuple(int(q) for q in rng.permutation(n)[:k]) for k in range(1, n + 1) for _ in range(3)]
+    placements += [(n - 1, 0)] if n > 1 else []
+    d = 2 ** (n + 1)
+    for qubits in placements:
+        local = 2 ** len(qubits)
+        shape = (int(rng.integers(1, 4)), 2, local, local)
+        blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        want = _literal_kraus_sum(SimpleNamespace(pairs=blocks), list(qubits), n, rho)
+        assert np.abs(conjugate_pairs(rho, blocks, qubits) - want).max() <= 1e-15
 
 
 # The library channel each circuit gate compiles to (the Hadamard-conjugated gate).

@@ -554,7 +554,7 @@ def test_search_oversize_shots_are_refused_before_the_search(capsys):
     code, out, err = run_cli(argv, capsys)
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out == ""
-    assert err == f"error: sample_outcomes is capped at {MAX_SHOTS} shots, got 1000000000\n"
+    assert err == f"error: --shots is capped at {MAX_SHOTS} shots, got 1000000000\n"
 
 
 def test_lindblad_solves_for_the_ground_space_once(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pauliblock import encoding
 from pauliblock.encoding import (
     NdmeState,
     block_coefficients,
@@ -320,3 +321,23 @@ def test_pqc_decode_refuses_nan_support():
     S[0, 1] = np.nan
     with pytest.raises(EncodingError):
         pqc_decode(S)
+
+
+def test_decode_reads_class_values_beyond_the_dense_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense state was formed")
+
+    monkeypatch.setattr(encoding, "xor_class_blocks", refuse)
+    c = random_statevector(STATE_QUBITS + 2, np.random.default_rng(13))
+    assert np.abs(decode_state(encode_state_optimal(c)) - c).max() <= 1e-12
+
+
+def test_decode_refuses_a_nonpositive_or_nan_gamma_and_nan_amplitudes():
+    st = encode_state_optimal([0.6, 0.8])
+    for gamma in (0.0, -st.gamma, np.nan):
+        with pytest.raises(EncodingError, match="encoding factor"):
+            decode_state(NdmeState(1, st.classes, gamma=gamma))
+    classes = st.classes.copy()
+    classes[0, 1, 1] = np.nan
+    with pytest.raises(EncodingError, match="not finite"):
+        decode_state(NdmeState(1, classes, gamma=st.gamma))

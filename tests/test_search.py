@@ -19,6 +19,7 @@ from pauliblock.errors import (
 from pauliblock.oracle import random_statevector
 from pauliblock.paulis import HADAMARD, PauliString, X, kron_all
 from pauliblock.search import (
+    ORACLE_ETA,
     SearchOracle,
     _indices_to_bits,
     _oracle_classes,
@@ -158,7 +159,6 @@ def test_extract_target_insufficient_rank():
     row = np.array([[1, 1, 0, 1]], dtype=np.uint8)
     batch = SampleBatch(
         outcomes=np.repeat(row, 5, axis=0),
-        seed=0,
         accepted_mask=np.ones(5, dtype=bool),
     )
     assert extract_target(batch) is None
@@ -384,3 +384,40 @@ def test_sample_outcomes_refuses_shots_beyond_the_cap():
     with pytest.raises(DimensionError, match="capped at"):
         sample_outcomes(probs, MAX_SHOTS + 1, seed=0)
     assert sample_outcomes(probs, 5, seed=0).outcomes.shape == (5, 3)
+
+
+def _oracle_classes_reference(c, xi):
+    """The oracle on class values as (2/3) kept + (1/3) twirled, each formed in full."""
+    kept = np.zeros_like(c)
+    kept[[0, 1], [0, 1], 0] = c[[0, 1], [0, 1], 0]
+    kept[[0, 1], [1, 0], xi] = c[[0, 1], [1, 0], xi]
+    twirled = c.copy()
+    twirled[[0, 1], [1, 0]] *= -1.0
+    return (2.0 / 3.0) * kept + (1.0 / 3.0) * twirled
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_in_place_oracle_equals_the_full_formula(n):
+    rng = np.random.default_rng(110 + n)
+    d = 2**n
+    w = ORACLE_ETA / (1.0 + ORACLE_ETA)
+    for xi in rng.choice(d, size=min(d, 8), replace=False):
+        c = rng.normal(size=(2, 2, d)) + 1j * rng.normal(size=(2, 2, d))
+        c[rng.random(c.shape) < 0.2] = 0.0
+        assert np.array_equal(_oracle_classes(c, xi), _oracle_classes_reference(c, xi))
+        uniform = np.full((2, 2, d), 0.5 / d, dtype=complex)
+        want = w * uniform + (1.0 - w) * _oracle_classes_reference(uniform, xi)
+        target = format(int(xi), f"0{n}b")
+        assert run_protocol(SearchOracle(n=n, target=target)).classes.tobytes() == want.tobytes()
+
+
+def test_protocol_peak_stays_near_two_class_arrays():
+    n = 14
+    oracle = SearchOracle(n=n, target="1" * n)
+    tracemalloc.start()
+    try:
+        run_protocol(oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 4 * 16 * 2**n  # the uniform input and the output, 2 MB each
