@@ -33,11 +33,6 @@ from .encoding import (
     encode_state_optimal,
     gamma_upper_bound,
     hadamard_transform,
-    ndme_block,
-    pqc_decode,
-    s_from_amplitudes,
-    sector_matrix,
-    validate_ndme,
 )
 from .errors import (
     ChannelError,

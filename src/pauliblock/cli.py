@@ -26,8 +26,8 @@ from .compiler import (
     program_to_dict,
     run_program,
 )
-from .encoding import class_trace, encode_state_optimal, s_from_amplitudes
-from .errors import MAX_SHOTS, VECTOR_QUBITS, ParseError, SearchFailure, check_qubits
+from .encoding import class_trace, encode_state_optimal
+from .errors import MAX_SHOTS, REFERENCE_QUBITS, VECTOR_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
     coherence_steadiness,
     coherence_values,
@@ -90,7 +90,7 @@ def cmd_amplitude(args) -> int:
         circ = parse_circuit(fh.read())
     n = circ.n
     check_qubits(n, VECTOR_QUBITS, "amplitude")
-    alpha = args.alpha or "0" * n
+    alpha = "0" * n if args.alpha is None else args.alpha
     parse_bits(alpha, n)
     prog = compile_circuit(circ)
     plus = np.full(2**n, 2.0 ** (-n / 2))
@@ -135,10 +135,8 @@ def cmd_amplitude(args) -> int:
     return 0 if ok else 1
 
 
-def _ground_coherence_matrix(h, proj=None):
-    """A real vector in h's ground space (projector proj, found if None) as a carrier matrix."""
-    if proj is None:
-        proj, _ = oracle.ground_projector(h)
+def _ground_vector(proj):
+    """A real unit vector in the ground space with projector proj, or None."""
     for j in range(proj.shape[0]):
         w = proj[:, j].real
         norm = np.linalg.norm(w)
@@ -146,7 +144,7 @@ def _ground_coherence_matrix(h, proj=None):
             continue
         w = w / norm
         if np.linalg.norm(proj @ w - w) < 1e-9:
-            return s_from_amplitudes(w)
+            return w
     return None
 
 
@@ -154,6 +152,7 @@ def cmd_lindblad(args) -> int:
     with open(args.hamiltonian) as fh:
         h = parse_hamiltonian(fh.read())
     n = h.n
+    check_qubits(n, REFERENCE_QUBITS, "lindblad")
     proj, e_g = oracle.ground_projector(h)
     plus = np.full(2**n, 2.0 ** (-n / 2))
     state0 = encode_state_optimal(plus)
@@ -177,9 +176,9 @@ def cmd_lindblad(args) -> int:
         "dt_audit_ratio": None,
     }
     ok = block_residual < args.tolerance
-    coherence = _ground_coherence_matrix(h, proj) if frustration_free else None
-    if coherence is not None:
-        steadiness = coherence_steadiness(traj, coherence)
+    ground = _ground_vector(proj) if frustration_free else None
+    if ground is not None:
+        steadiness = coherence_steadiness(traj, ground)
         report["steadiness_max_derivative"] = steadiness
         ok = ok and steadiness < 1e-6
     if not frustration_free:
@@ -199,8 +198,8 @@ def cmd_lindblad(args) -> int:
     report["pass"] = bool(ok)
     if args.trajectory_csv:
         coherence_vals = None
-        if coherence is not None:
-            coherence_vals = coherence_values(traj, coherence).real.tolist()
+        if ground is not None:
+            coherence_vals = coherence_values(traj, ground).real.tolist()
         with open(args.trajectory_csv, "w") as fh:
             fh.write("t,trace_re,block_norm,coherence_re\n")
             for i, t in enumerate(traj.times):

@@ -60,14 +60,8 @@ def hadamard_transform(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def xor_class_matrix(s: np.ndarray) -> np.ndarray:
-    """Matrix M[j, k] = s[j ^ k], that is sum_delta s_delta Q_delta."""
-    s = np.asarray(s, dtype=complex).reshape(-1)
-    return s[xor_grid(num_qubits(s.size))]
-
-
 def xor_class_blocks(s: np.ndarray) -> np.ndarray:
-    """Matrix with blocks B_ab[j, k] = s[a, b, j ^ k], unscaled like xor_class_matrix."""
+    """Matrix with blocks B_ab[j, k] = s[a, b, j ^ k], that is sum_delta s[a, b, delta] Q_delta."""
     s = np.asarray(s, dtype=complex)
     d = s.shape[2]
     grid = xor_grid(num_qubits(d))
@@ -93,43 +87,10 @@ def class_trace(c: np.ndarray) -> complex:
     return c.shape[2] * (c[0, 0, 0] + c[1, 1, 0])
 
 
-def sector_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """Matrix 2^(-n/2) sum_alpha coeffs_alpha Q_alpha (no norm requirement)."""
-    coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
-    return xor_class_matrix(coeffs) * 2.0 ** (-num_qubits(coeffs.size) / 2)
-
-
-def s_from_amplitudes(c) -> np.ndarray:
-    """Carrier matrix S of a unit-norm amplitude vector."""
-    return sector_matrix(check_amplitudes(c))
-
-
 def block_coefficients(B: np.ndarray) -> np.ndarray:
     """Raw {I, X}-sector coefficients 2^(-n/2) Tr(Q_alpha B) of a block matrix."""
     traces = xor_class_sums(B)
     return traces * 2.0 ** (-num_qubits(traces.size) / 2)
-
-
-def pqc_decode(S: np.ndarray) -> np.ndarray:
-    """Amplitudes of a carrier matrix; rejects support above 1e-12 outside the {I, X} sector."""
-    c = block_coefficients(S)
-    resid = np.abs(np.asarray(S, dtype=complex) - sector_matrix(c)).max()
-    if not resid <= 1e-12:  # NaN fails too
-        raise EncodingError(
-            f"matrix has weight {resid:.3e} outside the I/X Pauli sector"
-        )
-    return c
-
-
-def ndme_block(rho: np.ndarray) -> np.ndarray:
-    """Upper-right 2^n x 2^n block of a (1+n)-qubit density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {rho.shape}")
-    if num_qubits(rho.shape[0]) < 1:
-        raise DimensionError("need at least one assistant and one encoding qubit")
-    d = rho.shape[0] // 2
-    return rho[:d, d:].copy()
 
 
 class NdmeState:
@@ -154,9 +115,6 @@ class NdmeState:
         check_qubits(self.n, STATE_QUBITS, "NdmeState.rho")
         return xor_class_blocks(self.classes)
 
-    def block(self) -> np.ndarray:
-        return ndme_block(self.rho)
-
 
 def gamma_upper_bound(c) -> float:
     """Largest encoding factor achievable for the given amplitudes."""
@@ -171,8 +129,8 @@ def encode_state_optimal(c) -> NdmeState:
     The mixture sum_beta q_beta |phi_beta><phi_beta| with q_beta proportional
     to |chi_beta|, chi = H^n c, and phi_beta = (|0> + e^{-i arg chi_beta} |1>)
     / sqrt(2) (x) H^n |beta> is XOR-class constant in each block, so it is
-    written as gamma [[D, S], [S^dag, D]] with S = sector_matrix(c) and
-    D = sector_matrix(H^n |chi|), and held as the class values of those blocks.
+    written as gamma [[D, S], [S^dag, D]] with S the carrier matrix of c and
+    D that of H^n |chi|, and held as the class values of those blocks.
     """
     c = check_amplitudes(c)
     n = num_qubits(c.size)
@@ -193,28 +151,3 @@ def decode_state(state: NdmeState) -> np.ndarray:
     if not np.isfinite(c).all():
         raise EncodingError("decoded amplitudes are not finite")
     return c
-
-
-def validate_ndme(state: NdmeState) -> dict:
-    """Residuals of all NdmeState invariants, for assertion by callers."""
-    rho = state.rho
-    herm = np.abs(rho - rho.conj().T).max()
-    trace = abs(np.trace(rho) - 1.0)
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    block = state.block()
-    b = block_coefficients(block)
-    sector = np.abs(block - sector_matrix(b)).max()
-    norm_b = np.linalg.norm(b)
-    gamma_resid = abs(norm_b - state.gamma)
-    if norm_b > 0:
-        bound_slack = state.gamma - gamma_upper_bound(b / norm_b)
-    else:
-        bound_slack = 0.0
-    return {
-        "hermiticity": herm,
-        "trace": trace,
-        "min_eig": min_eig,
-        "sector_residual": sector,
-        "gamma_residual": gamma_resid,
-        "gamma_bound_slack": bound_slack,
-    }

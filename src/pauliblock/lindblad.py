@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import conjugate_pairs, pauli_channel, verify_po
-from .encoding import NdmeState, class_trace, xor_class_sums
+from .encoding import NdmeState, check_amplitudes, class_trace
 from .errors import (
     MAX_SNAPSHOT_BYTES,
     MAX_STEPS,
@@ -257,17 +257,25 @@ def decay_rate_fit(trajectory: Trajectory, t_min: float) -> float:
     return float(-slope)
 
 
-def coherence_values(trajectory: Trajectory, O: np.ndarray) -> np.ndarray:
-    """Tr(rho_t (X (x) O)) = sum_delta (c_01 + c_10)[delta] Tr(Q_delta O) at every snapshot."""
-    traces = xor_class_sums(O)
-    return np.array([(s.classes[0, 1] + s.classes[1, 0]) @ traces for s in trajectory.states])
+def coherence_values(trajectory: Trajectory, w) -> np.ndarray:
+    """Tr(rho_t (X (x) S_w)) = 2^(n/2) (c_01 + c_10) . w at every snapshot.
+
+    S_w = 2^(-n/2) sum_alpha w_alpha Q_alpha is the carrier matrix of the
+    unit-norm amplitude vector w, so Tr(Q_delta S_w) = 2^(n/2) w_delta.
+    """
+    w = check_amplitudes(w)
+    d = trajectory.states[0].classes.shape[2]
+    if w.size != d:
+        raise DimensionError(f"amplitude vector has length {w.size}, expected {d}")
+    scale = np.sqrt(d)
+    return np.array([scale * ((s.classes[0, 1] + s.classes[1, 0]) @ w) for s in trajectory.states])
 
 
-def coherence_steadiness(trajectory: Trajectory, O: np.ndarray) -> float:
-    """Largest |d/dt Tr(rho_t (X (x) O))| along the trajectory.
+def coherence_steadiness(trajectory: Trajectory, w) -> float:
+    """Largest |d/dt Tr(rho_t (X (x) S_w))| along the trajectory.
 
     Finite differences on the recorded snapshots (second order, including
     the endpoints), so the early-time behavior is visible.
     """
-    grads = np.gradient(coherence_values(trajectory, O), trajectory.times)
+    grads = np.gradient(coherence_values(trajectory, w), trajectory.times)
     return float(np.abs(grads).max())

@@ -19,7 +19,6 @@ from .encoding import (
     encode_state_optimal,
     gamma_upper_bound,
     hadamard_transform,
-    s_from_amplitudes,
 )
 from .errors import VECTOR_QUBITS, check_qubits
 from .lindblad import (
@@ -378,12 +377,12 @@ def steadiness_suite() -> dict:
     traj_plus = evolve(state_plus, jumps, t_max=2.0, dt=dt, record_every=record)
     bell_vec = np.zeros(4)
     bell_vec[0] = bell_vec[3] = 2.0**-0.5
-    steady = coherence_steadiness(traj_plus, s_from_amplitudes(bell_vec))
+    steady = coherence_steadiness(traj_plus, bell_vec)
 
     # excited trajectory: start where the decaying component is visible
     state_00 = encode_state_optimal([1, 0, 0, 0])
     traj_00 = evolve(state_00, jumps, t_max=1.0, dt=dt, record_every=record)
-    moving = coherence_steadiness(traj_00, s_from_amplitudes([1, 0, 0, 0]))
+    moving = coherence_steadiness(traj_00, [1, 0, 0, 0])
 
     # second stabilizer case with a two-dimensional ground space
     zz = parse_hamiltonian("qubits 2\n1.0 -ZZ\n")
@@ -391,7 +390,7 @@ def steadiness_suite() -> dict:
     ground2 = np.zeros(4)
     ground2[0] = 0.6
     ground2[3] = 0.8
-    steady2 = coherence_steadiness(traj_zz, s_from_amplitudes(ground2))
+    steady2 = coherence_steadiness(traj_zz, ground2)
 
     ok = steady < 1e-6 and steady2 < 1e-6 and moving > 1e-3
     return {

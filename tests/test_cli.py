@@ -109,6 +109,22 @@ def test_amplitude_bad_alpha(tmp_path, capsys):
     assert code == 2
 
 
+def test_amplitude_empty_alpha_is_input_error(tmp_path, capsys):
+    path = tmp_path / "circ.txt"
+    path.write_text(CIRCUIT)
+    code, out, err = run_cli(["amplitude", "--circuit", str(path), "--alpha", ""], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_lindblad_names_itself_in_the_size_message(tmp_path, capsys):
+    path = tmp_path / "h7.txt"
+    path.write_text("qubits 7\n1.0 -ZZZZZZZ\n")
+    code, out, err = run_cli(["lindblad", "--hamiltonian", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: lindblad is capped at 6 qubits, got 7\n"
+
+
 def test_lindblad_bell(tmp_path, capsys):
     path = tmp_path / "bell.txt"
     path.write_text(BELL)
@@ -498,7 +514,7 @@ def test_trajectory_csv_coherence_column_is_coherence_values(tmp_path, capsys):
     assert code == 0
     h = parse_hamiltonian(BELL)
     traj = evolve(encode_state_optimal(np.full(4, 0.5)), build_jumps(h), 0.5, 1e-3, 10)
-    want = coherence_values(traj, cli._ground_coherence_matrix(h))
+    want = coherence_values(traj, cli._ground_vector(oracle.ground_projector(h)[0]))
     column = [line.split(",")[3] for line in traj_csv.read_text().splitlines()[1:]]
     assert column == [repr(float(v.real)) for v in want]
 

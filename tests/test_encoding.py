@@ -12,18 +12,14 @@ from pauliblock.encoding import (
     encode_state_optimal,
     gamma_upper_bound,
     hadamard_transform,
-    ndme_block,
-    pqc_decode,
-    s_from_amplitudes,
-    sector_matrix,
-    validate_ndme,
     xor_class_blocks,
-    xor_class_matrix,
     xor_class_sums,
 )
 from pauliblock.errors import STATE_QUBITS, VECTOR_QUBITS, DimensionError, EncodingError
 from pauliblock.oracle import random_statevector
-from pauliblock.paulis import HADAMARD, I2, PauliString, X, Z, kron_all
+from pauliblock.paulis import HADAMARD, I2, PauliString, X, kron_all
+
+from dense import ndme_block, sector_matrix, validate_ndme, xor_class_matrix
 
 
 def _plus_state(n):
@@ -66,37 +62,22 @@ def test_hadamard_transform_equals_loop_reference(shape):
 
 
 def test_s_from_amplitudes_fixtures():
-    assert np.abs(s_from_amplitudes([1, 0]) - I2 / np.sqrt(2)).max() < 1e-15
+    assert np.abs(sector_matrix([1, 0]) - I2 / np.sqrt(2)).max() < 1e-15
     plus = np.outer([1, 1], [1, 1]) / 2
-    assert np.abs(s_from_amplitudes(_plus_state(1)) - plus).max() < 1e-15
+    assert np.abs(sector_matrix(_plus_state(1)) - plus).max() < 1e-15
     # basis state: single Pauli term at 2^(-n/2)
     e = np.zeros(8)
     e[0b101] = 1.0
     want = PauliString.from_bits([1, 0, 1]).matrix() / 2**1.5
-    assert np.abs(s_from_amplitudes(e) - want).max() < 1e-15
+    assert np.abs(sector_matrix(e) - want).max() < 1e-15
 
 
 def test_norm_validation():
     with pytest.raises(EncodingError):
-        s_from_amplitudes([1.0, 1.0])
+        check_amplitudes([1.0, 1.0])
     # drift below the slack renormalizes silently
     c = np.array([1.0 + 3e-10, 0.0])
-    assert abs(np.linalg.norm(pqc_decode(s_from_amplitudes(c))) - 1.0) < 1e-12
-
-
-def test_pqc_decode_fixtures_and_roundtrip():
-    assert np.abs(pqc_decode(I2 / np.sqrt(2)) - np.array([1, 0])).max() < 1e-15
-    plus_proj = np.outer([1, 1], [1, 1]) / 2
-    assert np.abs(pqc_decode(plus_proj) - _plus_state(1)).max() < 1e-15
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        c = random_statevector(3, rng)
-        assert np.abs(pqc_decode(s_from_amplitudes(c)) - c).max() < 1e-12
-
-
-def test_pqc_decode_rejects_other_sectors():
-    with pytest.raises(EncodingError):
-        pqc_decode(Z.astype(complex))
+    assert abs(np.linalg.norm(check_amplitudes(c)) - 1.0) < 1e-12
 
 
 def test_xor_class_pair_against_pauli_strings():
@@ -141,7 +122,7 @@ def test_rho_refuses_beyond_the_dense_cap_before_allocating():
 def test_sector_diagonal_in_hadamard_frame():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3):
-        S = s_from_amplitudes(random_statevector(n, rng))
+        S = sector_matrix(random_statevector(n, rng))
         H = kron_all([HADAMARD] * n)
         sigma = H @ S @ H
         off = sigma - np.diag(np.diag(sigma))
@@ -223,7 +204,7 @@ def test_inequality_chain_for_generated_states():
     for _ in range(50):
         c = random_statevector(3, rng)
         st = encode_state_optimal(c)
-        chi = hadamard_transform(block_coefficients(st.block()) / st.gamma)
+        chi = hadamard_transform(block_coefficients(ndme_block(st.rho)) / st.gamma)
         assert st.gamma * np.abs(chi).sum() <= 0.5 + 1e-12
 
 
@@ -283,7 +264,7 @@ def test_encoder_formula_matches_product_reference(n):
         assert np.abs(st.rho - rho).max() < 1e-15
         assert np.array_equal(st.rho, st.rho.conj().T)
         assert abs(np.trace(st.rho) - 1.0) < 1e-14
-        assert np.abs(st.block() - st.gamma * sector_matrix(c)).max() < 1e-16
+        assert np.abs(ndme_block(st.rho) - st.gamma * sector_matrix(c)).max() < 1e-16
 
 
 def _block_expansion(s):
@@ -314,13 +295,6 @@ def test_nan_amplitudes_are_refused():
     for call in (encode_state_optimal, gamma_upper_bound, check_amplitudes):
         with pytest.raises(EncodingError):
             call([np.nan, 0.0])
-
-
-def test_pqc_decode_refuses_nan_support():
-    S = sector_matrix([1.0, 0.0])
-    S[0, 1] = np.nan
-    with pytest.raises(EncodingError):
-        pqc_decode(S)
 
 
 def test_decode_reads_class_values_beyond_the_dense_cap(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,12 @@ from pauliblock.encoding import (
     NdmeState,
     block_coefficients,
     encode_state_optimal,
-    ndme_block,
-    s_from_amplitudes,
-    sector_matrix,
 )
 from pauliblock.errors import (
     MAX_SNAPSHOT_BYTES,
     MAX_STEPS,
     DimensionError,
+    EncodingError,
     IntegratorError,
     ParseError,
 )
@@ -34,6 +34,8 @@ from pauliblock.lindblad import (
 )
 from pauliblock.paulis import PauliString, X, bell_frame
 from pauliblock.suites import random_ff_hamiltonian
+
+from dense import ndme_block, sector_matrix
 
 BELL = "qubits 2\n1.0 -ZZ\n1.0 -XX\n"
 FRUSTRATED = "qubits 1\n1.0 +X\n1.0 +Z\n"
@@ -334,7 +336,7 @@ def test_frustrated_block_norm_bound_and_rate():
 def test_rk4_convergence_order():
     hf = parse_hamiltonian(FRUSTRATED)
     st = encode_state_optimal(np.array([1, 1]) / np.sqrt(2))
-    c0 = block_coefficients(st.block()) / st.gamma
+    c0 = block_coefficients(ndme_block(st.rho)) / st.gamma
 
     def final_error(dt):
         traj = evolve(st, build_jumps(hf), t_max=2.0, dt=dt, record_every=10**9)
@@ -353,18 +355,18 @@ def test_steadiness_ground_and_excited():
 
     bell_vec = np.zeros(4)
     bell_vec[0] = bell_vec[3] = 2**-0.5
-    assert coherence_steadiness(traj, s_from_amplitudes(bell_vec)) < 1e-6
+    assert coherence_steadiness(traj, bell_vec) < 1e-6
 
     st00 = encode_state_optimal([1, 0, 0, 0])
     traj00 = evolve(st00, jumps, t_max=1.0, dt=1e-3, record_every=10)
-    assert coherence_steadiness(traj00, s_from_amplitudes([1, 0, 0, 0])) > 1e-3
+    assert coherence_steadiness(traj00, [1, 0, 0, 0]) > 1e-3
 
 
 def test_everything_steady_without_jumps():
     st = encode_state_optimal(np.full(4, 0.5))
     traj = evolve(st, JumpSet(n=2, jumps=()), t_max=0.5, dt=0.01)
     for amps in (np.full(4, 0.5), np.array([1.0, 0, 0, 0])):
-        assert coherence_steadiness(traj, s_from_amplitudes(amps)) < 1e-9
+        assert coherence_steadiness(traj, amps) < 1e-9
 
 
 def test_ground_space_dimension_counts_generators():
@@ -438,7 +440,7 @@ def test_lindblad_readers_form_no_dense_state(monkeypatch):
     traj = evolve(st, build_jumps(h), t_max=2.0, dt=1e-2, record_every=10)
     _, residual = ite_block_residual(st, h, 2.0, 1e-2, 10)
     assert residual < 1e-6
-    assert np.isfinite(coherence_values(traj, X)).all()
+    assert np.isfinite(coherence_values(traj, [0.0, 1.0])).all()
     assert decay_rate_fit(traj, 1.0) == pytest.approx(2 - np.sqrt(2), rel=0.05)
 
 
@@ -450,9 +452,40 @@ def test_coherence_values_match_dense_trace():
         d = 2**h.n
         st = encode_state_optimal(oracle.random_statevector(h.n, rng))
         traj = evolve(st, build_jumps(h), t_max=0.2, dt=1e-2, record_every=5)
-        O = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w = oracle.random_statevector(h.n, rng)
+        O = sector_matrix(w)
         want = np.array([np.trace(np.kron(X, O) @ s.rho) for s in traj.states])
-        assert np.abs(coherence_values(traj, O) - want).max() < 1e-14
+        assert np.abs(coherence_values(traj, w) - want).max() < 1e-14
+
+
+def test_coherence_values_read_class_values_beyond_the_dense_cap():
+    # Tr(rho (X (x) S_w)) = gamma (c + conj(c)) . w = 2 gamma Re(c) . w for an
+    # encoded state; the dense X (x) S_w would be 4^17 entries, 275 GB, at n = 16
+    n = 16
+    rng = np.random.default_rng(16)
+    amps = [oracle.random_statevector(n, rng) for _ in range(2)]
+    states = [encode_state_optimal(c) for c in amps]
+    traj = Trajectory(times=np.array([0.0, 1.0]), states=states, block_norms=np.ones(2))
+    w = oracle.random_statevector(n, rng).real
+    w /= np.linalg.norm(w)
+    tracemalloc.start()
+    try:
+        got = coherence_values(traj, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.array([2 * st.gamma * (c.real @ w) for st, c in zip(states, amps)])
+    assert np.abs(got - want).max() < 1e-15
+    assert peak < 8 << 20
+
+
+def test_coherence_values_refuse_a_bad_vector():
+    st = encode_state_optimal(np.full(4, 0.5))
+    traj = evolve(st, JumpSet(n=2, jumps=()), t_max=0.1, dt=0.05)
+    with pytest.raises(DimensionError, match="length 2, expected 4"):
+        coherence_values(traj, [0.6, 0.8])
+    with pytest.raises(EncodingError, match="norm"):
+        coherence_steadiness(traj, [1.0, 1.0, 0.0, 0.0])
 
 
 def test_snapshot_gamma_is_the_block_coefficient_norm():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pauliblock import encoding, search
-from pauliblock.encoding import NdmeState, encode_state_optimal, xor_class_matrix, xor_class_sums
+from pauliblock.encoding import NdmeState, encode_state_optimal, xor_class_sums
 from pauliblock.errors import (
     MAX_SHOTS,
     STATE_QUBITS,
@@ -36,6 +36,8 @@ from pauliblock.search import (
     x_basis_probabilities,
 )
 from pauliblock.suites import search_suite
+
+from dense import xor_class_matrix
 
 SCAN_QUBITS = 4  # exhaustive readout over all 2^n candidate targets
 
