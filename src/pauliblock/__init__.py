@@ -56,7 +56,6 @@ from .lindblad import (
     validate_jumps,
 )
 from .measure import (
-    MeasurementRecord,
     amplitude_via_pauli,
     assistant_traces,
     expectation_via_swap,

@@ -247,8 +247,6 @@ def pauli_channel(p: PauliString, f0_variant: str = "identity") -> KrausPairChan
     flipping the sign of every L block once (a global Kraus phase would be
     unobservable, the relative block sign is not).
     """
-    if p.phase not in (1 + 0j, -1 + 0j):
-        raise ValueError("Pauli channels support only +1/-1 phases")
     if f0_variant not in F0_VARIANTS:
         raise ValueError(f"unknown F0 variant {f0_variant!r}")
     table = _PAULI_PAIRS_IDENTITY if f0_variant == "identity" else _PAULI_PAIRS_PROJECTOR
@@ -259,7 +257,7 @@ def pauli_channel(p: PauliString, f0_variant: str = "identity") -> KrausPairChan
             for K, L in pairs
             for k, l in table[letter]
         ]
-    if p.phase == -1 + 0j:
+    if p.phase == -1:
         pairs = [(K, -L) for K, L in pairs]
     return KrausPairChannel(n=p.n, pairs=pairs, eta=1.0)
 

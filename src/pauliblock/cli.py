@@ -35,7 +35,7 @@ from .lindblad import (
     ite_block_residual,
     parse_hamiltonian,
 )
-from .measure import MeasurementRecord, amplitude_from_traces, assistant_traces
+from .measure import amplitude_from_traces, assistant_traces
 from .paulis import parse_bits
 from .search import (
     SearchOracle,
@@ -102,8 +102,9 @@ def cmd_amplitude(args) -> int:
     residual = abs(amp - want)
 
     records = [
-        MeasurementRecord(f"X(x)Q_{alpha}", complex(trace_x)).to_json_dict(),
-        MeasurementRecord(f"Y(x)Q_{alpha}", complex(trace_y)).to_json_dict(),
+        {"observable": f"{op}(x)Q_{alpha}", "value_re": trace, "value_im": 0.0,
+         "shots": "exact", "seed": None}
+        for op, trace in (("X", trace_x), ("Y", trace_y))
     ]
     amplification = predicted_signal_factor(n, prog.hadamard_count, 0.5)
     ok = residual < args.tolerance
@@ -283,22 +284,10 @@ def cmd_search(args) -> int:
 def cmd_all(args) -> int:
     suites.check_search_runs(args.search_runs)  # before the first suite runs
     results = []
-    seeds = split_seeds(args.seed, len(suites.SUITE_ORDER))
-    staged = [
-        ("pauli_bell", lambda s: suites.pauli_bell_suite()),
-        ("gate_library", lambda s: suites.gate_library_suite()),
-        ("gamma_bound", suites.gamma_bound_suite),
-        ("amplitude_mechanism", suites.amplitude_suite),
-        ("swap_expectation", suites.swap_expectation_suite),
-        ("purification", suites.purification_suite),
-        ("ite", suites.ite_suite),
-        ("steadiness", lambda s: suites.steadiness_suite()),
-        ("oracle_identities", suites.oracle_identity_suite),
-        ("search_protocol", lambda s: suites.search_suite(s, runs=args.search_runs)),
-    ]
-    for (name, fn), child in zip(staged, seeds):
+    seeds = split_seeds(args.seed, len(suites.SUITES))
+    for (name, run), child in zip(suites.SUITES, seeds):
         started = time.perf_counter()
-        results.append(fn(child))
+        results.append(run(child, args.search_runs))
         print(f"[{name}] {time.perf_counter() - started:.2f}s", file=sys.stderr)
     overall = all(r["pass"] for r in results)
     report = {

@@ -9,32 +9,11 @@ others from the density matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .encoding import NdmeState
 from .errors import SWAP_QUBITS, DimensionError, EncodingError, check_qubits
 from .paulis import PauliString, bits_to_index, embed_operator, parse_bits, pauli_trace
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One extracted value: observable label, complex value, shot metadata."""
-
-    observable: str
-    value: complex
-    shots: object = "exact"  # int or the string "exact"
-    seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "observable": self.observable,
-            "value_re": float(self.value.real),
-            "value_im": float(self.value.imag),
-            "shots": self.shots,
-            "seed": self.seed,
-        }
 
 
 def assistant_traces(state: NdmeState, alpha) -> tuple:

@@ -29,15 +29,7 @@ CNOT = np.array(
 )
 
 LETTER_MATRICES = {"I": I2, "X": X, "Y": Y, "Z": Z}
-PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
-
-# Product table for single letters: (a, b) -> (phase, letter) with a*b = phase*letter.
-_LETTER_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+PHASES = (1 + 0j, -1 + 0j)
 
 
 def is_power_of_two(k: int) -> bool:
@@ -83,14 +75,14 @@ def kron_all(mats) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliString:
-    """A signed tensor product over {I, X, Y, Z} with phase in {+1, -1, +i, -i}."""
+    """A Hermitian signed tensor product over {I, X, Y, Z}: phase +1 or -1."""
 
     phase: complex
     letters: str
 
     def __post_init__(self):
         if self.phase not in PHASES:
-            raise ValueError(f"phase must be one of +1, -1, +i, -i, got {self.phase}")
+            raise ValueError(f"phase must be +1 or -1, got {self.phase}")
         object.__setattr__(self, "phase", complex(self.phase))
         if not self.letters or any(ch not in "IXYZ" for ch in self.letters):
             raise ValueError(f"letters must be a nonempty string over IXYZ, got {self.letters!r}")
@@ -101,7 +93,7 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        """Parse labels like "XZ", "-YI", "+iZZ", "-iX"."""
+        """Parse labels like "XZ", "+IX", "-YI"; an "i" phase is refused."""
         s = label.strip()
         phase = 1 + 0j
         if s.startswith("+"):
@@ -110,8 +102,7 @@ class PauliString:
             phase = -1 + 0j
             s = s[1:]
         if s.startswith("i"):
-            phase *= 1j
-            s = s[1:]
+            raise ValueError("imaginary phases are not allowed")
         return cls(phase, s)
 
     @classmethod
@@ -127,28 +118,13 @@ class PauliString:
 
     @property
     def label(self) -> str:
-        prefix = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
-        return prefix + self.letters
+        return ("+" if self.phase == 1 else "-") + self.letters
 
     def matrix(self) -> np.ndarray:
         return self.phase * kron_all([LETTER_MATRICES[ch] for ch in self.letters])
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n != other.n:
-            raise DimensionError("cannot multiply Pauli strings of different lengths")
-        phase = self.phase * other.phase
-        letters = []
-        for a, b in zip(self.letters, other.letters):
-            p, c = _LETTER_PRODUCT[(a, b)]
-            phase *= p
-            letters.append(c)
-        return PauliString(phase, "".join(letters))
-
     def __neg__(self) -> "PauliString":
         return PauliString(-self.phase, self.letters)
-
-    def is_hermitian(self) -> bool:
-        return self.phase.imag == 0.0
 
 
 def vectorize(O: np.ndarray) -> np.ndarray:

@@ -125,8 +125,11 @@ def test_pauli_channel_random_signed_strings():
 
 
 def test_pauli_channel_rejects_imaginary_phase():
-    with pytest.raises(ValueError):
-        pauli_channel(PauliString(1j, "X"))
+    # the sign rule lives in PauliString: no +-i string reaches pauli_channel
+    with pytest.raises(ValueError, match="phase must be"):
+        PauliString(1j, "X")
+    with pytest.raises(ValueError, match="imaginary phases are not allowed"):
+        PauliString.from_label("+iX")
 
 
 def test_apply_identity_channel_is_noop():

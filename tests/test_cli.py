@@ -117,6 +117,21 @@ def test_amplitude_empty_alpha_is_input_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text,extra,message",
+    [
+        ("qubits 2\n1.0 -ZZ\n1.0 +iZZ\n", [], "line 3: imaginary phases are not allowed"),
+        (BELL, ["--t-max", "1e300"], "a run is capped at 1000000 steps, got 1e+303"),
+    ],
+)
+def test_lindblad_input_errors_are_one_short_line(tmp_path, capsys, text, extra, message):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["lindblad", "--hamiltonian", str(path), *extra], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_lindblad_names_itself_in_the_size_message(tmp_path, capsys):
     path = tmp_path / "h7.txt"
     path.write_text("qubits 7\n1.0 -ZZZZZZZ\n")
@@ -228,7 +243,7 @@ def test_all_reduced_and_deterministic(capsys):
     assert code1 == code2
     assert out1 == out2
     report = json.loads(out1)
-    assert [s["name"] for s in report["suites"]] == list(suites.SUITE_ORDER)
+    assert [s["name"] for s in report["suites"]] == [name for name, _ in suites.SUITES]
     assert "SeedSequence" in report["seed_rule"]
 
 
@@ -321,8 +336,11 @@ def test_amplitude_reports_measured_traces(tmp_path, capsys):
     assert abs(tr_y) > 1e-3  # the T gate makes the imaginary part visible
     assert report["raw_signal_re"] == pytest.approx(tr_x, abs=1e-15)
     assert report["raw_signal_im"] == pytest.approx(tr_y, abs=1e-15)
-    records = {r["observable"]: r["value_re"] for r in report["records"]}
-    assert records == {"X(x)Q_101": report["raw_signal_re"], "Y(x)Q_101": report["raw_signal_im"]}
+    assert report["records"] == [
+        {"observable": f"{op}(x)Q_101", "value_re": report[f"raw_signal_{part}"],
+         "value_im": 0.0, "shots": "exact", "seed": None}
+        for op, part in (("X", "re"), ("Y", "im"))
+    ]
 
 
 @pytest.mark.parametrize("bad", ["", "012", "1 0", "10"])

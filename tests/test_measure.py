@@ -7,7 +7,6 @@ from pauliblock.channels import apply_channel, pauli_channel
 from pauliblock.encoding import NdmeState, encode_state_optimal
 from pauliblock.errors import SWAP_QUBITS, DimensionError, EncodingError
 from pauliblock.measure import (
-    MeasurementRecord,
     amplitude_via_pauli,
     assistant_traces,
     expectation_via_swap,
@@ -152,18 +151,6 @@ def test_hle_identity_pure_mixed_random():
     for _ in range(5):
         st = encode_state_optimal(random_statevector(n, rng))
         assert hle_identity_check(st, rng.integers(0, 2, n)) < 1e-10
-
-
-def test_measurement_record_json_fields():
-    rec = MeasurementRecord("X(x)Q_01", 0.25 - 0.5j, shots=100, seed=7)
-    data = rec.to_json_dict()
-    assert data == {
-        "observable": "X(x)Q_01",
-        "value_re": 0.25,
-        "value_im": -0.5,
-        "shots": 100,
-        "seed": 7,
-    }
 
 
 def test_signal_ordering_for_optimal_encodings():

@@ -1,4 +1,4 @@
-"""Property-based tests: text parsers, the channel wire format, Pauli algebra."""
+"""Property-based tests: text parsers, the channel wire format, Pauli traces."""
 
 import json
 
@@ -128,27 +128,6 @@ def test_corrupted_wire_channel_is_rejected(ch, data):
     pair[side] = [[re * scale, im * scale] for re, im in pair[side]]
     with pytest.raises(ChannelError):
         channel_from_dict(wire)
-
-
-@st.composite
-def pauli_triples(draw):
-    n = draw(st.integers(1, 3))
-    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
-    return [PauliString(draw(st.sampled_from(PHASES)), draw(letters)) for _ in range(3)]
-
-
-@FEW
-@given(pauli_triples())
-def test_pauli_product_matches_matrices(triple):
-    p, q, _ = triple
-    assert np.array_equal((p * q).matrix(), p.matrix() @ q.matrix())
-
-
-@FEW
-@given(pauli_triples())
-def test_pauli_product_is_associative(triple):
-    p, q, r = triple
-    assert (p * q) * r == p * (q * r)
 
 
 @st.composite

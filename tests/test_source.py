@@ -1,4 +1,5 @@
-"""No test-only code in src/: every public top-level definition has a caller.
+"""No test-only code in src/: every public top-level definition, and every
+public method and property of a class, has a caller.
 
 A caller is a name or attribute in the package's own code outside the
 definition itself (docstrings and comments do not count), or a mention in
@@ -30,6 +31,19 @@ def _names(node) -> Counter:
     return found
 
 
+def _public_definitions(tree):
+    """(name, node) of each public top-level function and class, and of each
+    public method or property of those classes, as "Class.method"."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_definition_in_src_has_a_caller():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used = sum((_names(tree) for tree in trees.values()), Counter())
@@ -38,10 +52,8 @@ def test_every_public_definition_in_src_has_a_caller():
     for name, tree in trees.items():
         if name == "oracle.py":
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for qualified, node in _public_definitions(tree):
             outside = used[node.name] - _names(node)[node.name]
             if outside == 0 and not re.search(rf"\b{node.name}\b", perfbench):
-                uncalled.add(node.name)
+                uncalled.add(qualified)
     assert uncalled == KEPT_REFERENCES
