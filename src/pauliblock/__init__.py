@@ -43,7 +43,6 @@ from .errors import (
     SearchFailure,
 )
 from .lindblad import (
-    JumpSet,
     PauliHamiltonian,
     Trajectory,
     build_jumps,
@@ -69,10 +68,8 @@ from .paulis import (
     vectorize,
 )
 from .search import (
-    SampleBatch,
     SearchOracle,
     end_to_end_search,
-    extract_target,
     gf2_rank,
     gf2_solve,
     oracle_apply,

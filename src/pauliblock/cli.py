@@ -246,7 +246,7 @@ def cmd_search(args) -> int:
         raise ValueError(f"--shots must be at least 1, got {args.shots}")
     check_qubits(args.shots, MAX_SHOTS, "--shots", unit="shots")
     probs = x_basis_probabilities(run_protocol(SearchOracle(n=args.n, target=target)))
-    batch = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
+    rows = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
     try:
         found, stats = search_distribution(probs, seed=run_seed)
     except SearchFailure as exc:
@@ -271,7 +271,7 @@ def cmd_search(args) -> int:
         "target": target,
         "found": found_str,
         "oracle_queries": stats["oracle_queries"],
-        "acceptance_rate": float(batch.accepted_mask.mean()),
+        "acceptance_rate": float(rows[:, 1:].any(axis=1).mean()),
         "shots": args.shots,
         "independence_rate": 1.0 / stats["independence_batches"],
         "seed": args.seed,
@@ -355,8 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search" and not args.sweep and (args.target is None or args.n is None):
-        parser.error("search needs --n and --target unless --sweep is given")
+    if args.command == "search":
+        if not args.sweep and (args.target is None or args.n is None):
+            parser.error("search needs --n and --target unless --sweep is given")
+        if args.sweep and (args.target is not None or args.n is not None):
+            parser.error("search --sweep takes no --n or --target")
     try:
         # a normal float keeps quotients like 0.01 / dt finite
         for option in ("tolerance", "dt"):

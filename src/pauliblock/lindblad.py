@@ -61,7 +61,7 @@ class PauliHamiltonian:
         return w, v
 
     @cached_property
-    def jumps(self) -> JumpSet:
+    def jumps(self) -> tuple:
         """build_jumps(self), built once: every class transfer is computed with it."""
         return build_jumps(self)
 
@@ -92,27 +92,17 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
     return PauliHamiltonian(n=n, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class JumpSet:
-    n: int
-    jumps: tuple  # of (lambda_i, KrausPairChannel with the single pair (K_i, L_i))
-
-    def rate_sum(self) -> float:
-        return float(sum(lam for lam, _ in self.jumps))
-
-
-def build_jumps(h: PauliHamiltonian) -> JumpSet:
-    """Jump for each term: the identity-variant Pauli channel of -P_i.
+def build_jumps(h: PauliHamiltonian) -> tuple:
+    """(lambda_i, jump channel) for each term: the identity-variant Pauli channel of -P_i.
 
     Its one pair (K_i, L_i) block-encodes -P_i at eta = 1, that is
     U_B (K_i (x) conj(L_i)) U_B^dag = -I (x) P_i, which makes
     F_i = diag(K_i, L_i) the jump operator of the term lambda_i P_i.
     """
-    jumps = tuple((lam, pauli_channel(-p, "identity")) for lam, p in h.terms)
-    return JumpSet(n=h.n, jumps=jumps)
+    return tuple((lam, pauli_channel(-p, "identity")) for lam, p in h.terms)
 
 
-def validate_jumps(jumps: JumpSet, h: PauliHamiltonian) -> float:
+def validate_jumps(h: PauliHamiltonian) -> float:
     """Max residual of the block-encoding identity of -P_i over all jumps.
 
     The check is dense (verify_po), so like cbe_operator it refuses n > CBE_QUBITS
@@ -121,18 +111,19 @@ def validate_jumps(jumps: JumpSet, h: PauliHamiltonian) -> float:
     return max(
         (
             verify_po(ch, (-p).matrix(), "identity", 1.0)
-            for (_, ch), (_, p) in zip(jumps.jumps, h.terms)
+            for (_, ch), (_, p) in zip(h.jumps, h.terms)
         ),
         default=0.0,
     )
 
 
-def lindblad_rhs(rho: np.ndarray, jumps: JumpSet) -> np.ndarray:
+def lindblad_rhs(rho: np.ndarray, jumps: tuple) -> np.ndarray:
     """sum_i lambda_i (F_i rho F_i^dag - rho) for any dense rho, jump by jump: evolve's reference."""
-    if rho.shape[0] != 2 ** (jumps.n + 1):
+    n = num_qubits(rho.shape[0]) - 1
+    if any(ch.n != n for _, ch in jumps):
         raise DimensionError(f"state dimension {rho.shape[0]} does not match jumps")
     out = np.zeros(rho.shape, dtype=complex)
-    for lam, ch in jumps.jumps:
+    for lam, ch in jumps:
         out += lam * (conjugate_pairs(rho, np.array(ch.pairs), ch.qubits) - rho)
     return out
 
@@ -146,7 +137,7 @@ class Trajectory:
 
 def evolve(
     state0: NdmeState,
-    jumps: JumpSet,
+    jumps: tuple,
     t_max: float,
     dt: float = 1e-3,
     record_every: int = 1,
@@ -178,7 +169,8 @@ def evolve(
         raise ValueError("t_max must be at least dt")
     if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
-    if state0.n != jumps.n:
+    n = state0.n
+    if any(ch.n != n for _, ch in jumps):
         raise DimensionError("state and jump set disagree on qubit count")
     ratio = t_max / dt
     # checked on the float, before int() turns a huge ratio into hundreds of
@@ -188,17 +180,16 @@ def evolve(
     steps = int(round(ratio))
     if abs(ratio - steps) > 1e-9 * ratio:
         raise ValueError(f"t_max={t_max} is not a whole number of steps of dt={dt}")
-    kept = (1 + -(-steps // record_every)) * 64 * 2**jumps.n  # complex class values
+    kept = (1 + -(-steps // record_every)) * 64 * 2**n  # complex class values
     if kept > MAX_SNAPSHOT_BYTES:
         raise ValueError(f"snapshots are capped at {MAX_SNAPSHOT_BYTES} bytes, got {kept}")
-    rate_sum = jumps.rate_sum()
+    rate_sum = float(sum(lam for lam, _ in jumps))
     if 2.0 * dt * rate_sum > RK4_STABILITY_LIMIT:
         raise ValueError(
             f"dt={dt} is unstable for rate sum {rate_sum}: RK4 needs"
             f" 2 * dt * rate sum <= {RK4_STABILITY_LIMIT}"
         )
-    n = jumps.n
-    generator = sum(lam * ch.transfer for lam, ch in jumps.jumps) - rate_sum * np.eye(2**n)
+    generator = sum(lam * ch.transfer for lam, ch in jumps) - rate_sum * np.eye(2**n)
     c = state0.classes.astype(complex)[..., None]  # (2, 2, 2^n, 1) columns
     times = [0.0]
     states = [state0]

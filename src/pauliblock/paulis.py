@@ -116,10 +116,6 @@ class PauliString:
         """The mask x of the X and Y letters: P|K> = s_K |K ^ x>."""
         return int("".join("1" if ch in "XY" else "0" for ch in self.letters), 2)
 
-    @property
-    def label(self) -> str:
-        return ("+" if self.phase == 1 else "-") + self.letters
-
     def matrix(self) -> np.ndarray:
         return self.phase * kron_all([LETTER_MATRICES[ch] for ch in self.letters])
 

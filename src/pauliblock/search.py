@@ -11,9 +11,10 @@ class values c[a, b, delta] of an NdmeState and reads nothing else of its
 input.
 
 The protocol mixes one oracle application into a fresh uniform state,
-samples the result in the X basis, discards the two outcomes attributable
-to the maximally mixed component, and recovers the target from the
-remaining outcomes by GF(2) elimination.
+samples the result in the X basis as rows of n+1 bits, discards the rows
+whose last n bits are all zero (the two outcomes attributable to the
+maximally mixed component), and recovers the target from the remaining
+rows by GF(2) elimination.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import (
 from .paulis import bits_to_index, parse_bits
 
 ORACLE_ETA = 1.0 / 3.0
+# batches of n accepted rows that a search draws before it gives up
+MAX_BATCHES = 64
 
 
 @dataclass(frozen=True)
@@ -149,39 +152,25 @@ def x_basis_probabilities(state: NdmeState) -> np.ndarray:
     return probs / probs.sum()
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """X-basis outcomes as rows of n+1 bits, with the post-selection mask."""
-
-    outcomes: np.ndarray
-    accepted_mask: np.ndarray
-
-    @property
-    def accepted(self) -> np.ndarray:
-        return self.outcomes[self.accepted_mask]
-
-
 def _indices_to_bits(indices: np.ndarray, width: int) -> np.ndarray:
     shifts = np.arange(width - 1, -1, -1)
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleBatch:
-    """Draw X-basis outcomes; discard the all-plus and minus-all-plus results.
+def sample_outcomes(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Draw X-basis outcomes as rows of n+1 bits, the control bit first.
 
-    Those two outcomes carry the entire maximally-mixed component of the
-    protocol output, so everything that survives satisfies the target
-    parity relation exactly.
+    A row whose last n bits are all zero (all-plus or minus-all-plus) is
+    rejected: those two outcomes carry the entire maximally-mixed component
+    of the protocol output, so every other row satisfies the target parity
+    relation exactly.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     check_qubits(shots, MAX_SHOTS, "sample_outcomes", unit="shots")
     width = probs.size.bit_length() - 1
     rng = np.random.default_rng(seed)
-    indices = rng.choice(probs.size, size=shots, p=probs)
-    outcomes = _indices_to_bits(indices, width)
-    rejected = (indices == 0) | (indices == probs.size // 2)
-    return SampleBatch(outcomes=outcomes, accepted_mask=~rejected)
+    return _indices_to_bits(rng.choice(probs.size, size=shots, p=probs), width)
 
 
 def _gf2_eliminate(M: np.ndarray, cols: int):
@@ -227,22 +216,7 @@ def gf2_rank(A: np.ndarray) -> int:
     return len(_gf2_eliminate(A, A.shape[1])[1])
 
 
-def extract_target(batch: SampleBatch):
-    """Recover the planted string from accepted outcomes, or None on low rank.
-
-    Each accepted outcome beta contributes the parity equation
-    beta_0 + sum_l beta_l r_l = 0 (mod 2); a unique solution needs the
-    trailing n-bit parts to span the full space.
-    """
-    rows = batch.accepted
-    if rows.shape[0] == 0:
-        return None
-    A = rows[:, 1:]
-    b = rows[:, 0]
-    return gf2_solve(A, b)
-
-
-def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
+def end_to_end_search(n: int, x, seed):
     """Full pipeline: protocol state, sampling, post-selection, GF(2) solve.
 
     The protocol state stays as its class values and is never expanded, so
@@ -250,34 +224,36 @@ def end_to_end_search(n: int, x, seed, max_batch_retries: int = 64):
     search_distribution does the rest.
     """
     probs = x_basis_probabilities(run_protocol(SearchOracle(n=n, target=x)))
-    return search_distribution(probs, seed, max_batch_retries)
+    return search_distribution(probs, seed)
 
 
-def search_distribution(probs: np.ndarray, seed, max_batch_retries: int = 64):
+def search_distribution(probs: np.ndarray, seed):
     """Sampling, post-selection and GF(2) solve on a protocol X-basis distribution.
 
-    Outcomes are drawn with sample_outcomes in chunks of max(4n, 8) and
-    consumed in order; each batch runs up to its n-th accepted outcome and
-    goes to extract_target, until a batch has full rank.  Returns
+    Outcome rows are drawn with sample_outcomes in chunks of max(4n, 8) and
+    consumed in order.  Each batch runs up to its n-th accepted row; an
+    accepted row beta is the parity equation beta_0 + sum_l beta_l r_l = 0
+    (mod 2) on the target r, and gf2_solve on the batch's n rows gives r
+    once their trailing bits span the space, within MAX_BATCHES batches.  Returns
     (found_bits, stats) where stats reports oracle_queries (every consumed
-    sample costs one query), acceptance_rate, and independence_batches
+    row costs one query), acceptance_rate, and independence_batches
     (batches consumed).
     """
     n = probs.size.bit_length() - 2
     rng = np.random.default_rng(seed)
     chunk = max(4 * n, 8)
-    outcomes = np.empty((0, n + 1), dtype=np.uint8)
+    rows = np.empty((0, n + 1), dtype=np.uint8)
     kept = np.empty(0, dtype=bool)
     queries = 0
-    for batch_no in range(1, max_batch_retries + 1):
+    for batch_no in range(1, MAX_BATCHES + 1):
         while np.count_nonzero(kept) < n:
             drawn = sample_outcomes(probs, chunk, rng)
-            outcomes = np.concatenate([outcomes, drawn.outcomes])
-            kept = np.concatenate([kept, drawn.accepted_mask])
+            rows = np.concatenate([rows, drawn])
+            kept = np.concatenate([kept, drawn[:, 1:].any(axis=1)])
         used = int(np.flatnonzero(kept)[n - 1]) + 1
-        batch = SampleBatch(outcomes=outcomes[:used], accepted_mask=kept[:used])
-        solution = extract_target(batch)
-        outcomes, kept = outcomes[used:], kept[used:]
+        accepted = rows[:used][kept[:used]]
+        solution = gf2_solve(accepted[:, 1:], accepted[:, 0])
+        rows, kept = rows[used:], kept[used:]
         queries += used
         if solution is not None:
             stats = {
@@ -286,6 +262,4 @@ def search_distribution(probs: np.ndarray, seed, max_batch_retries: int = 64):
                 "independence_batches": batch_no,
             }
             return solution, stats
-    raise SearchFailure(
-        f"no full-rank batch found in {max_batch_retries} attempts"
-    )
+    raise SearchFailure(f"no full-rank batch found in {MAX_BATCHES} attempts")

@@ -23,7 +23,6 @@ from .encoding import (
 from .errors import VECTOR_QUBITS, check_qubits
 from .lindblad import (
     PauliHamiltonian,
-    build_jumps,
     coherence_steadiness,
     decay_rate_fit,
     evolve,
@@ -173,9 +172,13 @@ def gamma_bound_suite(seed) -> dict:
     }
 
 
-def random_circuit(rng: np.random.Generator, n: int, k: int, extra_gates: int = 12) -> Circuit:
-    """Random {H, S, T, CNOT} circuit with exactly k Hadamards."""
-    slots = extra_gates + k
+# the S, T and CNOT gates of a random_circuit, around its k Hadamards
+EXTRA_GATES = 12
+
+
+def random_circuit(rng: np.random.Generator, n: int, k: int) -> Circuit:
+    """Random {H, S, T, CNOT} circuit with exactly k Hadamards and EXTRA_GATES other gates."""
+    slots = EXTRA_GATES + k
     h_slots = set(rng.choice(slots, size=k, replace=False).tolist()) if k else set()
     gates = []
     for slot in range(slots):
@@ -329,7 +332,7 @@ def ite_suite(seed) -> dict:
     for _ in range(10):
         n = int(rng.integers(1, 4))
         h = random_ff_hamiltonian(rng, n)
-        worst_jumps = max(worst_jumps, validate_jumps(h.jumps, h))
+        worst_jumps = max(worst_jumps, validate_jumps(h))
         proj, energy = oracle.ground_projector(h)
         worst_ff = max(worst_ff, abs(energy + h.rate_sum()))
         expected_dim = 2 ** (n - len(h.terms))
@@ -343,7 +346,7 @@ def ite_suite(seed) -> dict:
     expected_rate = e_g + frustrated.rate_sum()
     traj = evolve(
         encode_state_optimal(np.full(2, 2.0**-0.5)),
-        build_jumps(frustrated),
+        frustrated.jumps,
         t_max=5.0,
         dt=dt,
         record_every=100,
@@ -376,7 +379,7 @@ def steadiness_suite() -> dict:
     """Coherence observables: steady in the ground sector, moving outside it."""
     dt = 1e-3
     bell = parse_hamiltonian(BELL_HAMILTONIAN)
-    jumps = build_jumps(bell)
+    jumps = bell.jumps
     record = 10
 
     state_plus = encode_state_optimal(np.full(4, 0.5))
@@ -392,7 +395,7 @@ def steadiness_suite() -> dict:
 
     # second stabilizer case with a two-dimensional ground space
     zz = parse_hamiltonian("qubits 2\n1.0 -ZZ\n")
-    traj_zz = evolve(state_plus, build_jumps(zz), t_max=2.0, dt=dt, record_every=record)
+    traj_zz = evolve(state_plus, zz.jumps, t_max=2.0, dt=dt, record_every=record)
     ground2 = np.zeros(4)
     ground2[0] = 0.6
     ground2[3] = 0.8

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauliblock import suites
 from pauliblock.channels import (
     F0_VARIANTS,
     GATE_IDS,
@@ -344,9 +345,10 @@ LIBRARY_GATE = {"H": "H", "S": "HSH", "T": "HTH", "CNOT": "HH_CNOT_HH"}
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("seed", range(3))
-def test_program_matches_literal_kraus_sums(n, seed):
+def test_program_matches_literal_kraus_sums(n, seed, monkeypatch):
+    monkeypatch.setattr(suites, "EXTRA_GATES", 27)
     rng = np.random.default_rng([n, seed])
-    circ = random_circuit(rng, n, k=int(rng.integers(0, 4)), extra_gates=27)
+    circ = random_circuit(rng, n, k=int(rng.integers(0, 4)))
     circ = Circuit(n=n, gates=circ.gates[:30])
     state = encode_state_optimal(random_statevector(n, rng))
     rho = state.rho
@@ -490,7 +492,8 @@ def test_transfer_is_computed_at_construction_once_per_base(monkeypatch):
     lift = embed_channel(base, [3, 1], 5)
     assert len(calls) == 4 and lift.transfer is base.transfer
     rng = np.random.default_rng(5)
-    circ = random_circuit(rng, 5, k=3, extra_gates=27)
+    monkeypatch.setattr(suites, "EXTRA_GATES", 27)
+    circ = random_circuit(rng, 5, k=3)
     del calls[:]
     prog = compile_circuit(circ)
     assert 1 <= len(calls) == len({name for name, _ in circ.gates}) <= 4

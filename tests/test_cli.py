@@ -224,6 +224,22 @@ def test_search_requires_target(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra", [["--n", "3", "--target", "101"], ["--n", "3"], ["--target", "101"]]
+)
+def test_search_sweep_refuses_n_and_target(capsys, monkeypatch, extra):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(suites, "search_suite", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", *extra, "--sweep", "3:3", "--runs", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == "pauliblock: error: search --sweep takes no --n or --target"
+    assert err.count("\n") == 2  # one usage line and the error
+
+
 def test_search_sweep(capsys):
     code, out, _ = run_cli(
         ["search", "--sweep", "3:4", "--runs", "10", "--seed", "1"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pauliblock import oracle
+from pauliblock import oracle, suites
 from pauliblock.channels import cbe_operator
 from pauliblock.compiler import (
     Circuit,
@@ -15,6 +15,12 @@ from pauliblock.errors import ParseError
 from pauliblock.measure import amplitude_via_pauli
 from pauliblock.paulis import HADAMARD, PauliString, X, Y, bell_frame, embed_operator, kron_all
 from pauliblock.suites import random_circuit
+
+
+def _random_circuit(monkeypatch, rng, n, k, extra_gates):
+    """random_circuit with extra_gates non-Hadamard gates instead of suites.EXTRA_GATES."""
+    monkeypatch.setattr(suites, "EXTRA_GATES", extra_gates)
+    return random_circuit(rng, n, k)
 
 
 def test_parse_basic():
@@ -82,10 +88,10 @@ def _oracle_pipeline_state(circ):
     return kron_all([HADAMARD] * circ.n) @ psi
 
 
-def test_random_program_matches_statevector_oracle():
+def test_random_program_matches_statevector_oracle(monkeypatch):
     rng = np.random.default_rng(7)
     n = 3
-    circ = random_circuit(rng, n, k=2, extra_gates=6)
+    circ = _random_circuit(monkeypatch, rng, n, 2, 6)
     prog = compile_circuit(circ)
     assert prog.hadamard_count == 2
     st = encode_state_optimal(np.full(2**n, 2.0 ** (-n / 2)))
@@ -96,9 +102,9 @@ def test_random_program_matches_statevector_oracle():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_compiled_cbe_product_matches_dense_target(n):
+def test_compiled_cbe_product_matches_dense_target(n, monkeypatch):
     rng = np.random.default_rng(30 + n)
-    circ = random_circuit(rng, n, k=1, extra_gates=4)
+    circ = _random_circuit(monkeypatch, rng, n, 1, 4)
     prog = compile_circuit(circ)
 
     total = np.eye(4**n, dtype=complex)
@@ -122,10 +128,10 @@ def test_compiled_cbe_product_matches_dense_target(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_signal_mechanism_identity(n):
+def test_signal_mechanism_identity(n, monkeypatch):
     # raw Pauli traces equal the scaled oracle amplitudes for every alpha
     rng = np.random.default_rng(40 + n)
-    circ = random_circuit(rng, n, k=int(rng.integers(0, 3)), extra_gates=6)
+    circ = _random_circuit(monkeypatch, rng, n, int(rng.integers(0, 3)), 6)
     prog = compile_circuit(circ)
     st = encode_state_optimal(np.full(2**n, 2.0 ** (-n / 2)))
     out = run_program(prog, st)
@@ -189,7 +195,7 @@ def test_compile_builds_no_dense_blocks(monkeypatch):
     monkeypatch.setattr(channels, "embed_operator", refuse)
     n = 7
     rng = np.random.default_rng(70)
-    circ = random_circuit(rng, n, k=3, extra_gates=27)
+    circ = _random_circuit(monkeypatch, rng, n, 3, 27)
     prog = compile_circuit(circ)
     assert len(prog.channels) == 30
     pair_bytes = sum(K.nbytes + L.nbytes for ch in prog.channels for K, L in ch.pairs)
@@ -224,14 +230,14 @@ def test_old_full_width_dump_loads_and_runs_to_the_same_rho():
     assert a.gamma == pytest.approx(b.gamma, abs=1e-15)
 
 
-def test_circuit_path_forms_no_dense_state():
+def test_circuit_path_forms_no_dense_state(monkeypatch):
     import tracemalloc
 
     n = 9  # a dense rho is 4 MB, one Kraus-conjugated copy of it more
     rng = np.random.default_rng(12)
     text = "qubits 9\n" + "".join(
         f"{name} {' '.join(map(str, qubits))}\n"
-        for name, qubits in random_circuit(rng, n, k=3, extra_gates=27).gates
+        for name, qubits in _random_circuit(monkeypatch, rng, n, 3, 27).gates
     )
     tracemalloc.start()
     try:

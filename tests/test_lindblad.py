@@ -18,7 +18,6 @@ from pauliblock.errors import (
     ParseError,
 )
 from pauliblock.lindblad import (
-    JumpSet,
     PauliHamiltonian,
     Trajectory,
     build_jumps,
@@ -44,7 +43,7 @@ FRUSTRATED = "qubits 1\n1.0 +X\n1.0 +Z\n"
 def test_parse_hamiltonian_basic():
     h = parse_hamiltonian(BELL)
     assert h.n == 2 and len(h.terms) == 2
-    assert h.terms[0][1].label == "-ZZ"
+    assert h.terms[0][1] == PauliString(-1, "ZZ")
     assert h.rate_sum() == pytest.approx(2.0)
 
 
@@ -80,7 +79,7 @@ def pauli(label):
 
 
 def jump_pair(jumps, i=0):
-    _, ch = jumps.jumps[i]
+    _, ch = jumps[i]
     (K, L), = ch.pairs
     return K, L
 
@@ -118,11 +117,11 @@ def test_validate_jumps_random():
     for _ in range(10):
         n = int(rng.integers(1, 4))
         h = random_ff_hamiltonian(rng, n)
-        assert validate_jumps(build_jumps(h), h) < 1e-12
+        assert validate_jumps(h) < 1e-12
     # the dense check follows cbe_operator's 4-qubit cap
     h5 = parse_hamiltonian("qubits 5\n0.7 -XYZIX\n0.3 +ZZIYY\n")
     with pytest.raises(DimensionError):
-        validate_jumps(build_jumps(h5), h5)
+        validate_jumps(h5)
 
 
 def test_jump_operators_are_unitary():
@@ -232,9 +231,18 @@ def test_rhs_block_derivative_fixture():
     assert np.abs(out[:2, 2:] - want).max() < 1e-12
 
 
+def test_jumps_of_another_qubit_count_are_refused():
+    jumps = parse_hamiltonian("qubits 2\n1.0 -ZZ\n").jumps
+    st = encode_state_optimal([1, 0])
+    with pytest.raises(DimensionError, match="disagree on qubit count"):
+        evolve(st, jumps, t_max=0.1, dt=0.01)
+    with pytest.raises(DimensionError, match="does not match jumps"):
+        lindblad_rhs(st.rho, jumps)
+
+
 def test_evolve_empty_jumps_constant():
     st = encode_state_optimal([1, 0])
-    traj = evolve(st, JumpSet(n=1, jumps=()), t_max=0.5, dt=0.01)
+    traj = evolve(st, (), t_max=0.5, dt=0.01)
     assert np.abs(traj.states[-1].rho - st.rho).max() < 1e-12
 
 
@@ -364,7 +372,7 @@ def test_steadiness_ground_and_excited():
 
 def test_everything_steady_without_jumps():
     st = encode_state_optimal(np.full(4, 0.5))
-    traj = evolve(st, JumpSet(n=2, jumps=()), t_max=0.5, dt=0.01)
+    traj = evolve(st, (), t_max=0.5, dt=0.01)
     for amps in (np.full(4, 0.5), np.array([1.0, 0, 0, 0])):
         assert coherence_steadiness(traj, amps) < 1e-9
 
@@ -417,8 +425,8 @@ def test_evolve_counts_snapshots_at_the_class_size():
 
 @pytest.mark.parametrize("text", ["qubits 1\n0.0 +X\n", None], ids=["zero-weight", "no-jumps"])
 def test_zero_total_rate_keeps_every_state(text):
-    jumps = JumpSet(n=1, jumps=()) if text is None else build_jumps(parse_hamiltonian(text))
-    assert jumps.rate_sum() == 0.0
+    jumps = () if text is None else build_jumps(parse_hamiltonian(text))
+    assert sum(lam for lam, _ in jumps) == 0.0
     st = encode_state_optimal([0.6, 0.8])
     traj = evolve(st, jumps, t_max=0.5, dt=0.01, record_every=10)
     assert len(traj.states) == 6
@@ -481,7 +489,7 @@ def test_coherence_values_read_class_values_beyond_the_dense_cap():
 
 def test_coherence_values_refuse_a_bad_vector():
     st = encode_state_optimal(np.full(4, 0.5))
-    traj = evolve(st, JumpSet(n=2, jumps=()), t_max=0.1, dt=0.05)
+    traj = evolve(st, (), t_max=0.1, dt=0.05)
     with pytest.raises(DimensionError, match="length 2, expected 4"):
         coherence_values(traj, [0.6, 0.8])
     with pytest.raises(EncodingError, match="norm"):

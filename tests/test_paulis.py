@@ -60,9 +60,9 @@ def test_pauli_matrix_fixtures():
 
 def test_pauli_string_parsing_and_validation():
     p = PauliString.from_label("-XY")
-    assert p.phase == -1 and p.letters == "XY" and p.label == "-XY"
+    assert p.phase == -1 and p.letters == "XY" and p == PauliString(-1, "XY")
     assert PauliString.from_bits([1, 0, 1]).letters == "XIX"
-    assert (-PauliString(1, "Z")).label == "-Z"
+    assert -PauliString(1, "Z") == PauliString(-1, "Z")
     for label in ("-iXY", "+iZ", "iX"):
         with pytest.raises(ValueError, match="imaginary phases are not allowed"):
             PauliString.from_label(label)

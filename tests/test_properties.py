@@ -75,7 +75,7 @@ def test_parse_circuit_round_trip(circ, data):
 @given(hamiltonians(), st.data())
 def test_parse_hamiltonian_round_trip(ham, data):
     n, terms = ham
-    body = [f"{weight!r} {p.label}" for weight, p in terms]
+    body = [f"{weight!r} {'+' if p.phase == 1 else '-'}{p.letters}" for weight, p in terms]
     parsed = parse_hamiltonian(_render(f"QUBITS {n}", body, data))
     assert parsed.n == n and list(parsed.terms) == terms
 

@@ -25,7 +25,6 @@ from pauliblock.search import (
     _oracle_classes,
     bits_to_index,
     end_to_end_search,
-    extract_target,
     gf2_rank,
     gf2_solve,
     oracle_apply,
@@ -131,39 +130,36 @@ def test_discard_probability_and_parity():
     discard = probs[0] + probs[2**n]
     assert discard == pytest.approx(0.5 + 2.0 ** -(n + 1), abs=1e-12)
 
-    batch = sample_outcomes(probs, shots=4000, seed=3)
-    acc = batch.accepted
+    rows = sample_outcomes(probs, shots=4000, seed=3)
+    kept = rows[:, 1:].any(axis=1)
+    acc = rows[kept]
     assert acc.shape[0] > 0
     xs = np.array([0, 1, 1])
     parity = (acc[:, 0] + acc[:, 1:] @ xs) % 2
     assert not parity.any()
-    assert batch.accepted_mask.mean() == pytest.approx(0.5 - 2.0 ** -(n + 1), abs=0.05)
+    assert kept.mean() == pytest.approx(0.5 - 2.0 ** -(n + 1), abs=0.05)
 
 
 def test_sampling_is_seed_deterministic():
     probs = x_basis_probabilities(run_protocol(SearchOracle(n=2, target="11")))
     a = sample_outcomes(probs, shots=100, seed=42)
     b = sample_outcomes(probs, shots=100, seed=42)
-    assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.array_equal(a, b)
 
 
-def test_extract_target_from_batch():
+def test_gf2_solve_recovers_target_from_accepted_rows():
     rho_out = run_protocol(SearchOracle(n=3, target="101"))
-    batch = sample_outcomes(x_basis_probabilities(rho_out), shots=60, seed=1)
-    assert batch.accepted.shape[0] >= 20
-    found = extract_target(batch)
+    rows = sample_outcomes(x_basis_probabilities(rho_out), shots=60, seed=1)
+    acc = rows[rows[:, 1:].any(axis=1)]
+    assert acc.shape[0] >= 20
+    found = gf2_solve(acc[:, 1:], acc[:, 0])
     assert np.array_equal(found, [1, 0, 1])
 
 
-def test_extract_target_insufficient_rank():
-    from pauliblock.search import SampleBatch
-
-    row = np.array([[1, 1, 0, 1]], dtype=np.uint8)
-    batch = SampleBatch(
-        outcomes=np.repeat(row, 5, axis=0),
-        accepted_mask=np.ones(5, dtype=bool),
-    )
-    assert extract_target(batch) is None
+def test_gf2_solve_on_equal_accepted_rows_is_none():
+    rows = np.repeat(np.array([[1, 1, 0, 1]], dtype=np.uint8), 5, axis=0)
+    assert rows[:, 1:].any(axis=1).all()
+    assert gf2_solve(rows[:, 1:], rows[:, 0]) is None
 
 
 def test_single_bit_search_exhaustively():
@@ -218,9 +214,10 @@ def test_end_to_end_seeded_runs():
     assert stats["independence_batches"] >= 1
 
 
-def test_end_to_end_retry_budget():
+def test_end_to_end_retry_budget(monkeypatch):
+    monkeypatch.setattr(search, "MAX_BATCHES", 0)
     with pytest.raises(SearchFailure):
-        end_to_end_search(3, "010", seed=0, max_batch_retries=0)
+        end_to_end_search(3, "010", seed=0)
 
 
 def test_scan_all_targets_recovers_plant():
@@ -229,8 +226,8 @@ def test_scan_all_targets_recovers_plant():
         x = rng.integers(0, 2, n)
         rho_out = run_protocol(SearchOracle(n=n, target=x))
         probs = x_basis_probabilities(rho_out)
-        batch = sample_outcomes(probs, shots=6000, seed=int(rng.integers(1 << 20)))
-        assert np.array_equal(scan_all_targets(batch.outcomes, n), x)
+        rows = sample_outcomes(probs, shots=6000, seed=int(rng.integers(1 << 20)))
+        assert np.array_equal(scan_all_targets(rows, n), x)
 
 
 def test_oracle_size_guard():
@@ -385,7 +382,7 @@ def test_sample_outcomes_refuses_shots_beyond_the_cap():
     probs = np.full(8, 1 / 8)
     with pytest.raises(DimensionError, match="capped at"):
         sample_outcomes(probs, MAX_SHOTS + 1, seed=0)
-    assert sample_outcomes(probs, 5, seed=0).outcomes.shape == (5, 3)
+    assert sample_outcomes(probs, 5, seed=0).shape == (5, 3)
 
 
 def _oracle_classes_reference(c, xi):

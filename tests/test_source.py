@@ -1,9 +1,12 @@
 """No test-only code in src/: every public top-level definition, and every
 public method and property of a class, has a caller.
 
-A caller is a name or attribute in the package's own code outside the
-definition itself (docstrings and comments do not count), or a mention in
-perfbench/, whose tracer names the functions it times in strings.
+A caller is a read in the package's own code outside the definition itself
+(docstrings, comments, parameters and assignment targets do not count):
+- a method or property is called only through an attribute, `obj.name`;
+- a top-level definition through its name or an attribute, or through a
+  mention in perfbench/, whose tracer names the functions it times in
+  strings.
 `oracle.py` is exempt: it is the independent brute-force ground truth, kept
 whole for the tests to compare against.
 """
@@ -20,15 +23,15 @@ PERFBENCH = ROOT / "perfbench"
 KEPT_REFERENCES = {"lindblad_rhs"}
 
 
-def _names(node) -> Counter:
-    """Every Name id and Attribute attr under node, with multiplicity."""
-    found = Counter()
+def _reads(node) -> tuple:
+    """(Name ids, Attribute attrs) read under node, each with multiplicity."""
+    names, attrs = Counter(), Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
-    return found
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            attrs[sub.attr] += 1
+    return names, attrs
 
 
 def _public_definitions(tree):
@@ -46,14 +49,23 @@ def _public_definitions(tree):
 
 def test_every_public_definition_in_src_has_a_caller():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+    names, attrs = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attrs = _reads(tree)
+        names += tree_names
+        attrs += tree_attrs
     perfbench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
     uncalled = set()
     for name, tree in trees.items():
         if name == "oracle.py":
             continue
         for qualified, node in _public_definitions(tree):
-            outside = used[node.name] - _names(node)[node.name]
-            if outside == 0 and not re.search(rf"\b{node.name}\b", perfbench):
+            own_names, own_attrs = _reads(node)
+            outside = attrs[node.name] - own_attrs[node.name]
+            if "." not in qualified:
+                outside += names[node.name] - own_names[node.name]
+                if re.search(rf"\b{node.name}\b", perfbench):
+                    outside += 1
+            if outside == 0:
                 uncalled.add(qualified)
     assert uncalled == KEPT_REFERENCES
