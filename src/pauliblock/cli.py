@@ -27,7 +27,7 @@ from .compiler import (
     run_program,
 )
 from .encoding import class_trace, encode_state_optimal
-from .errors import MAX_SHOTS, REFERENCE_QUBITS, VECTOR_QUBITS, ParseError, SearchFailure, check_qubits
+from .errors import REFERENCE_QUBITS, VECTOR_QUBITS, ParseError, SearchFailure, check_qubits
 from .lindblad import (
     coherence_steadiness,
     coherence_values,
@@ -37,13 +37,7 @@ from .lindblad import (
 )
 from .measure import amplitude_from_traces, assistant_traces
 from .paulis import parse_bits
-from .search import (
-    SearchOracle,
-    run_protocol,
-    sample_outcomes,
-    search_distribution,
-    x_basis_probabilities,
-)
+from .search import end_to_end_search
 from .suites import split_seeds
 
 SCHEMA_VERSION = 1
@@ -223,13 +217,16 @@ def _sweep_range(text: str) -> tuple:
 
 
 def cmd_search(args) -> int:
-    if args.sweep:
-        suite = suites.search_suite(args.seed, runs=args.runs, ns=_sweep_range(args.sweep))
+    if args.sweep is not None:
+        if args.target is not None or args.n is not None:
+            raise ValueError("search --sweep takes no --n or --target")
+        runs = 200 if args.runs is None else args.runs
+        suite = suites.search_suite(args.seed, runs=runs, ns=_sweep_range(args.sweep))
         report = {
             "schema": SCHEMA_VERSION,
             "command": "search-sweep",
             "seed": args.seed,
-            "runs": args.runs,
+            "runs": runs,
             "per_n": suite["per_n"],
             "query_slope": suite["query_slope"],
             "quadratic_fraction": suite["quadratic_fraction"],
@@ -237,48 +234,33 @@ def cmd_search(args) -> int:
         }
         _emit(report, args.format, csv_rows=suite["per_n"])
         return 0 if suite["pass"] else 1
-    target = args.target
-    parse_bits(target, args.n)
-    run_seed, calib_seed = split_seeds(args.seed, 2)
-    # acceptance estimated on a calibration batch of --shots draws; the
-    # bounds are checked before the O(2^n) distribution is built
-    if args.shots < 1:
-        raise ValueError(f"--shots must be at least 1, got {args.shots}")
-    check_qubits(args.shots, MAX_SHOTS, "--shots", unit="shots")
-    probs = x_basis_probabilities(run_protocol(SearchOracle(n=args.n, target=target)))
-    rows = sample_outcomes(probs, shots=args.shots, seed=calib_seed)
-    try:
-        found, stats = search_distribution(probs, seed=run_seed)
-    except SearchFailure as exc:
-        report = {
-            "schema": SCHEMA_VERSION,
-            "command": "search",
-            "n": args.n,
-            "target": target,
-            "found": None,
-            "error": str(exc),
-            "seed": args.seed,
-            "pass": False,
-        }
-        _emit(report, args.format)
-        return 1
-    found_str = "".join(str(int(b)) for b in found)
-    ok = found_str == target
+    if args.target is None or args.n is None:
+        raise ValueError("search needs --n and --target unless --sweep is given")
+    if args.runs is not None:
+        raise ValueError("search --runs needs --sweep")
     report = {
         "schema": SCHEMA_VERSION,
         "command": "search",
         "n": args.n,
-        "target": target,
-        "found": found_str,
-        "oracle_queries": stats["oracle_queries"],
-        "acceptance_rate": float(rows[:, 1:].any(axis=1).mean()),
-        "shots": args.shots,
-        "independence_rate": 1.0 / stats["independence_batches"],
+        "target": args.target,
         "seed": args.seed,
-        "pass": bool(ok),
     }
+    try:
+        found, stats = end_to_end_search(args.n, args.target, seed=split_seeds(args.seed, 1)[0])
+    except SearchFailure as exc:
+        report.update(found=None, error=str(exc))
+        report["pass"] = False
+        _emit(report, args.format)
+        return 1
+    report.update(
+        found="".join(str(int(b)) for b in found),
+        oracle_queries=stats["oracle_queries"],
+        acceptance_rate=stats["acceptance_rate"],
+        independence_rate=1.0 / stats["independence_batches"],
+    )
+    report["pass"] = report["found"] == args.target
     _emit(report, args.format)
-    return 0 if ok else 1
+    return 0 if report["pass"] else 1
 
 
 def cmd_all(args) -> int:
@@ -304,8 +286,15 @@ def cmd_all(args) -> int:
     return 0 if overall else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, for main's one-line report."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pauliblock",
         description="Verification suites and example pipelines for Pauli-basis block encodings.",
     )
@@ -337,10 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="planted-target search")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--target", default=None)
-    p.add_argument("--shots", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", default=None, help="run a sweep, e.g. 3:8")
-    p.add_argument("--runs", type=int, default=200, help="runs per n in sweep mode")
+    p.add_argument("--runs", type=int, default=None, help="runs per n in sweep mode, default 200")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_search)
 
@@ -353,14 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "search":
-        if not args.sweep and (args.target is None or args.n is None):
-            parser.error("search needs --n and --target unless --sweep is given")
-        if args.sweep and (args.target is not None or args.n is not None):
-            parser.error("search --sweep takes no --n or --target")
     try:
+        args = build_parser().parse_args(argv)
         # a normal float keeps quotients like 0.01 / dt finite
         for option in ("tolerance", "dt"):
             value = getattr(args, option, 1.0)

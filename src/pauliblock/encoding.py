@@ -99,16 +99,13 @@ class NdmeState:
     Every state is XOR-class constant in each block,
     rho_ab[j, k] = classes[a, b, j ^ k], and is held as those class values,
     an array of shape (2, 2, 2^n); `rho` expands them on first access, up
-    to STATE_QUBITS.
-    Without an explicit gamma, gamma = 2^(n/2) ||classes[0, 1]||.
+    to STATE_QUBITS.  gamma = 2^(n/2) ||classes[0, 1]||.
     """
 
-    def __init__(self, n: int, classes: np.ndarray, gamma: float | None = None):
+    def __init__(self, n: int, classes: np.ndarray):
         self.n = n
         self.classes = classes
-        if gamma is None:
-            gamma = 2.0 ** (n / 2) * float(np.linalg.norm(classes[0, 1]))
-        self.gamma = gamma
+        self.gamma = 2.0 ** (n / 2) * float(np.linalg.norm(classes[0, 1]))
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -140,14 +137,11 @@ def encode_state_optimal(c) -> NdmeState:
     gamma = 1.0 / (2.0 * mag.sum())  # positive: chi is a unit vector
     diag = hadamard_transform(mag)
     classes = gamma * 2.0 ** (-n / 2) * np.array([[diag, c], [c.conj(), diag]])
-    return NdmeState(n=n, gamma=gamma, classes=classes)
+    return NdmeState(n, classes)
 
 
 def decode_state(state: NdmeState) -> np.ndarray:
     """Amplitudes carried by an NdmeState, 2^(n/2) c_01 / gamma, read from its class values."""
-    if not state.gamma > 0.0:  # NaN fails too
-        raise EncodingError(f"encoding factor must be positive, got {state.gamma}")
-    c = 2.0 ** (state.n / 2) * state.classes[0, 1] / state.gamma
-    if not np.isfinite(c).all():
-        raise EncodingError("decoded amplitudes are not finite")
-    return c
+    if not 0.0 < state.gamma < np.inf:  # NaN fails too
+        raise EncodingError(f"encoding factor must be positive and finite, got {state.gamma}")
+    return 2.0 ** (state.n / 2) * state.classes[0, 1] / state.gamma

@@ -13,15 +13,14 @@ OPERATOR_QUBITS = 8  # dense n-qubit operators: circuit unitaries
 CBE_QUBITS = 4  # dense block-encoding operators on 2n qubits
 KRAUS_SUM_QUBITS = 3  # the search oracle's literal 4^n-term Kraus sum
 SWAP_QUBITS = 4  # the swap trace's three dense 16^(n+1)-entry operators
-MAX_SHOTS = 10**6  # X-basis draws in one sample_outcomes call, about 42 MB at n = 3
 MAX_STEPS = 10**6  # RK4 steps in one Lindblad run
 MAX_SNAPSHOT_BYTES = 1 << 30  # snapshots one Lindblad run keeps
 
 
-def check_qubits(n: int, cap: int, what: str, unit: str = "qubits") -> None:
+def check_qubits(n: int, cap: int, what: str) -> None:
     """DimensionError unless n <= cap; call before allocating anything of size n."""
     if n > cap:
-        raise DimensionError(f"{what} is capped at {cap} {unit}, got {n}")
+        raise DimensionError(f"{what} is capped at {cap} qubits, got {n}")
 
 
 class EncodingError(ValueError):

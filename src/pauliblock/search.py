@@ -26,7 +26,6 @@ import numpy as np
 from .encoding import NdmeState, hadamard_transform, xor_class_blocks, xor_class_sums
 from .errors import (
     KRAUS_SUM_QUBITS,
-    MAX_SHOTS,
     STATE_QUBITS,
     VECTOR_QUBITS,
     DimensionError,
@@ -165,9 +164,6 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     of the protocol output, so every other row satisfies the target parity
     relation exactly.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    check_qubits(shots, MAX_SHOTS, "sample_outcomes", unit="shots")
     width = probs.size.bit_length() - 1
     rng = np.random.default_rng(seed)
     return _indices_to_bits(rng.choice(probs.size, size=shots, p=probs), width)
@@ -220,26 +216,17 @@ def end_to_end_search(n: int, x, seed):
     """Full pipeline: protocol state, sampling, post-selection, GF(2) solve.
 
     The protocol state stays as its class values and is never expanded, so
-    building the sampling distribution costs O(2^n) time and memory;
-    search_distribution does the rest.
-    """
-    probs = x_basis_probabilities(run_protocol(SearchOracle(n=n, target=x)))
-    return search_distribution(probs, seed)
-
-
-def search_distribution(probs: np.ndarray, seed):
-    """Sampling, post-selection and GF(2) solve on a protocol X-basis distribution.
-
+    building the sampling distribution costs O(2^n) time and memory.
     Outcome rows are drawn with sample_outcomes in chunks of max(4n, 8) and
     consumed in order.  Each batch runs up to its n-th accepted row; an
     accepted row beta is the parity equation beta_0 + sum_l beta_l r_l = 0
     (mod 2) on the target r, and gf2_solve on the batch's n rows gives r
     once their trailing bits span the space, within MAX_BATCHES batches.  Returns
     (found_bits, stats) where stats reports oracle_queries (every consumed
-    row costs one query), acceptance_rate, and independence_batches
-    (batches consumed).
+    row costs one query), acceptance_rate (accepted rows over consumed
+    rows), and independence_batches (batches consumed).
     """
-    n = probs.size.bit_length() - 2
+    probs = x_basis_probabilities(run_protocol(SearchOracle(n=n, target=x)))
     rng = np.random.default_rng(seed)
     chunk = max(4 * n, 8)
     rows = np.empty((0, n + 1), dtype=np.uint8)

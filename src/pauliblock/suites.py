@@ -271,7 +271,7 @@ def purification_suite(seed) -> dict:
         states = [encode_state_optimal(oracle.random_statevector(n, rng)) for _ in range(3)]
         mixed = np.zeros((2, 2, 2**n), dtype=complex)
         mixed[[0, 1], [0, 1], 0] = 2.0 ** -(n + 1)
-        states.append(NdmeState(n, mixed, gamma=0.0))
+        states.append(NdmeState(n, mixed))
         states.append(run_protocol(SearchOracle(n=n, target=rng.integers(0, 2, n))))
         for state in states:
             for alpha in ([0] * n, rng.integers(0, 2, n)):

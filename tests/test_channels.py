@@ -510,9 +510,9 @@ def test_class_built_states_match_the_dense_kernel():
     mixed = np.zeros((2, 2, 2**n), dtype=complex)
     mixed[[0, 1], [0, 1], 0] = 2.0 ** -(n + 1)
     states = (
-        NdmeState(n, mixed, gamma=0.0),
+        NdmeState(n, mixed),
         run_protocol(SearchOracle(n=n, target="10")),
-        NdmeState(n, 2 * st0.classes, gamma=0.0),
+        NdmeState(n, 2 * st0.classes),
     )
     ch = embed_channel(gate_channel("HSH"), [1], n)
     for st in states:

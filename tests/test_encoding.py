@@ -260,7 +260,8 @@ def test_encoder_formula_matches_product_reference(n):
     for c in _encoder_cases(n, rng):
         st = encode_state_optimal(c)
         rho, gamma = _product_encoder(c)
-        assert st.gamma == gamma
+        # the state's gamma is 2^(n/2) ||c_01||, the formula's value up to rounding
+        assert abs(st.gamma - gamma) <= 1e-15 * gamma
         assert np.abs(st.rho - rho).max() < 1e-15
         assert np.array_equal(st.rho, st.rho.conj().T)
         assert abs(np.trace(st.rho) - 1.0) < 1e-14
@@ -307,11 +308,15 @@ def test_decode_reads_class_values_beyond_the_dense_cap(monkeypatch):
 
 
 def test_decode_refuses_a_nonpositive_or_nan_gamma_and_nan_amplitudes():
+    # gamma is 2^(n/2) ||c_01||: 0 for a zero cross block, NaN or inf for a
+    # NaN or infinite amplitude
     st = encode_state_optimal([0.6, 0.8])
-    for gamma in (0.0, -st.gamma, np.nan):
+    zero, nan, inf = (st.classes.copy() for _ in range(3))
+    zero[[0, 1], [1, 0]] = 0.0
+    nan[[0, 1], [1, 0], 1] = np.nan
+    inf[[0, 1], [1, 0], 1] = np.inf
+    states = [NdmeState(1, c) for c in (zero, nan, inf)]
+    assert states[0].gamma == 0.0 and np.isnan(states[1].gamma) and states[2].gamma == np.inf
+    for state in states:
         with pytest.raises(EncodingError, match="encoding factor"):
-            decode_state(NdmeState(1, st.classes, gamma=gamma))
-    classes = st.classes.copy()
-    classes[0, 1, 1] = np.nan
-    with pytest.raises(EncodingError, match="not finite"):
-        decode_state(NdmeState(1, classes, gamma=st.gamma))
+            decode_state(state)

@@ -284,7 +284,7 @@ def test_ite_reference_size_guard():
 
 def test_evolve_trace_guard_triggers():
     st = encode_state_optimal([1, 0])
-    bad = NdmeState(n=1, classes=2 * st.classes, gamma=st.gamma)
+    bad = NdmeState(1, 2 * st.classes)
     h = parse_hamiltonian("qubits 1\n1.0 -Z\n")
     with pytest.raises(IntegratorError):
         evolve(bad, build_jumps(h), t_max=0.1, dt=0.01)

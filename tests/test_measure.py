@@ -25,7 +25,7 @@ def _mixed(n):
     """The maximally mixed (1+n)-qubit state, held as its class values at gamma 0."""
     c = np.zeros((2, 2, 2**n), dtype=complex)
     c[[0, 1], [0, 1], 0] = 2.0 ** -(n + 1)
-    return NdmeState(n, c, gamma=0.0)
+    return NdmeState(n, c)
 
 
 def test_amplitude_on_uniform_state():
@@ -270,7 +270,7 @@ def test_traces_from_class_values_match_pauli_trace_on_the_expanded_rho(n):
     encoded = encode_state_optimal(random_statevector(n, rng))
     ran = run_program(compile_circuit(random_circuit(rng, n, k=2)), encoded)
     for state in (encoded, ran):
-        rho = NdmeState(n=n, classes=state.classes, gamma=state.gamma).rho  # a fresh expansion
+        rho = NdmeState(n, state.classes).rho  # a fresh expansion
         for a in range(2**n):
             alpha = f"{a:0{n}b}"
             x_q = PauliString.from_bits("1" + alpha)

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from pauliblock import encoding, search
 from pauliblock.encoding import NdmeState, encode_state_optimal, xor_class_sums
 from pauliblock.errors import (
-    MAX_SHOTS,
     STATE_QUBITS,
     VECTOR_QUBITS,
     DimensionError,
@@ -145,6 +144,7 @@ def test_sampling_is_seed_deterministic():
     a = sample_outcomes(probs, shots=100, seed=42)
     b = sample_outcomes(probs, shots=100, seed=42)
     assert np.array_equal(a, b)
+    assert sample_outcomes(np.full(8, 1 / 8), 5, seed=0).shape == (5, 3)
 
 
 def test_gf2_solve_recovers_target_from_accepted_rows():
@@ -212,6 +212,17 @@ def test_end_to_end_seeded_runs():
     assert stats["oracle_queries"] >= 10
     assert 0 < stats["acceptance_rate"] <= 1
     assert stats["independence_batches"] >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_end_to_end_search_finds_the_target_and_counts_its_rows(n, seed, data):
+    target = data.draw(st.text("01", min_size=n, max_size=n))
+    found, stats = end_to_end_search(n, target, seed=seed)
+    assert "".join(str(int(b)) for b in found) == target
+    # each batch accepts exactly n of the rows it consumes
+    accepted = round(stats["acceptance_rate"] * stats["oracle_queries"])
+    assert accepted == n * stats["independence_batches"]
 
 
 def test_end_to_end_retry_budget(monkeypatch):
@@ -376,13 +387,6 @@ def test_dense_outputs_are_the_block_expansion_of_class_sums(n):
     assert np.array_equal(oracle_apply(orc, rho), want)
     state = run_protocol(orc)
     assert np.array_equal(state.rho, _block_expansion(state.classes))
-
-
-def test_sample_outcomes_refuses_shots_beyond_the_cap():
-    probs = np.full(8, 1 / 8)
-    with pytest.raises(DimensionError, match="capped at"):
-        sample_outcomes(probs, MAX_SHOTS + 1, seed=0)
-    assert sample_outcomes(probs, 5, seed=0).shape == (5, 3)
 
 
 def _oracle_classes_reference(c, xi):
