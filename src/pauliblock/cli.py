@@ -1,8 +1,8 @@
 """Reproducible experiment driver.
 
 Subcommands run the verification suites and the example pipelines and
-print one JSON report to stdout (CSV is a lossy convenience projection).
-Randomness enters only through --seed; sub-seeds are derived with numpy's
+print one strict JSON report (no NaN or Infinity) to stdout.  Randomness
+enters only through --seed; sub-seeds are derived with numpy's
 SeedSequence spawning in a fixed order, so reports are byte-identical for
 identical configurations.  Timing lines go to stderr to keep stdout
 deterministic.  Exit codes: 0 pass, 1 check failure, 2 usage/input error.
@@ -40,30 +40,15 @@ from .paulis import parse_bits
 from .search import end_to_end_search
 from .suites import split_seeds
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # --dt-audit keeps 2 dt sum(lambda) at or below this, inside RK4's asymptotic
 # range, where halving the step divides the error by about 16
 AUDIT_STEP_LIMIT = 0.5
 SEED_RULE = "numpy SeedSequence(seed).spawn, one child per suite in report order"
 
 
-def _emit(report: dict, fmt: str, csv_rows=None) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
-        return
-    rows = csv_rows if csv_rows is not None else [report]
-    keys = sorted({k for row in rows for k in row})
-    print(",".join(keys))
-    for row in rows:
-        print(",".join(_csv_cell(row.get(k)) for k in keys))
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _emit(report: dict) -> None:
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_verify_gates(args) -> int:
@@ -75,7 +60,7 @@ def cmd_verify_gates(args) -> int:
         "rows": suite["rows"],
         "pass": suite["pass"],
     }
-    _emit(report, args.format, csv_rows=suite["rows"])
+    _emit(report)
     return 0 if suite["pass"] else 1
 
 
@@ -95,11 +80,6 @@ def cmd_amplitude(args) -> int:
     want = oracle.amplitude_plus_u_zero(circ, int(alpha, 2))
     residual = abs(amp - want)
 
-    records = [
-        {"observable": f"{op}(x)Q_{alpha}", "value_re": trace, "value_im": 0.0,
-         "shots": "exact", "seed": None}
-        for op, trace in (("X", trace_x), ("Y", trace_y))
-    ]
     amplification = predicted_signal_factor(n, prog.hadamard_count, 0.5)
     ok = residual < args.tolerance
     if args.dump_channels:
@@ -121,12 +101,11 @@ def cmd_amplitude(args) -> int:
         "raw_signal_re": trace_x,
         "raw_signal_im": trace_y,
         "amplification": amplification,
-        "records": records,
         "residual": residual,
         "tolerance": args.tolerance,
         "pass": bool(ok),
     }
-    _emit(report, args.format, csv_rows=[{k: v for k, v in report.items() if k != "records"}])
+    _emit(report)
     return 0 if ok else 1
 
 
@@ -203,7 +182,7 @@ def cmd_lindblad(args) -> int:
                     f"{repr(float(t))},{repr(float(class_trace(traj.states[i].classes).real))},"
                     f"{repr(float(traj.block_norms[i]))},{coh}\n"
                 )
-    _emit(report, args.format)
+    _emit(report)
     return 0 if ok else 1
 
 
@@ -232,7 +211,7 @@ def cmd_search(args) -> int:
             "quadratic_fraction": suite["quadratic_fraction"],
             "pass": suite["pass"],
         }
-        _emit(report, args.format, csv_rows=suite["per_n"])
+        _emit(report)
         return 0 if suite["pass"] else 1
     if args.target is None or args.n is None:
         raise ValueError("search needs --n and --target unless --sweep is given")
@@ -250,7 +229,7 @@ def cmd_search(args) -> int:
     except SearchFailure as exc:
         report.update(found=None, error=str(exc))
         report["pass"] = False
-        _emit(report, args.format)
+        _emit(report)
         return 1
     report.update(
         found="".join(str(int(b)) for b in found),
@@ -259,7 +238,7 @@ def cmd_search(args) -> int:
         independence_rate=1.0 / stats["independence_batches"],
     )
     report["pass"] = report["found"] == args.target
-    _emit(report, args.format)
+    _emit(report)
     return 0 if report["pass"] else 1
 
 
@@ -281,8 +260,7 @@ def cmd_all(args) -> int:
         "suites": results,
         "pass": overall,
     }
-    csv_rows = [{"name": r["name"], "pass": r["pass"]} for r in results]
-    _emit(report, args.format, csv_rows=csv_rows)
+    _emit(report)
     return 0 if overall else 1
 
 
@@ -302,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-gates", help="check the gate channel library")
     p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_verify_gates)
 
     p = sub.add_parser("amplitude", help="pipeline amplitude vs statevector oracle")
@@ -310,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None, help="bit string, default all zeros")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--dump-channels", default=None, help="write the compiled channels as JSON")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_amplitude)
 
     p = sub.add_parser("lindblad", help="dissipative evolution vs dense propagator")
@@ -320,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--dt-audit", action="store_true", help="report the step-halving error ratio")
     p.add_argument("--trajectory-csv", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_lindblad)
 
     p = sub.add_parser("search", help="planted-target search")
@@ -329,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", default=None, help="run a sweep, e.g. 3:8")
     p.add_argument("--runs", type=int, default=None, help="runs per n in sweep mode, default 200")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("all", help="run every verification suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--search-runs", type=int, default=200)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_all)
     return parser
 

@@ -205,7 +205,7 @@ def evolve(
         if step % record_every == 0 or step == steps:
             times.append(step * dt)
             states.append(NdmeState(n=n, classes=c[..., 0]))
-    norms = [2.0 ** (n / 2) * np.linalg.norm(s.classes[0, 1]) for s in states]
+    norms = [s.gamma for s in states]
     return Trajectory(times=np.array(times), states=states, block_norms=np.array(norms))
 
 
