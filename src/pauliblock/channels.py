@@ -11,13 +11,14 @@ matrices at scale eta.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import NdmeState, xor_grid
-from .errors import CBE_QUBITS, ChannelError, DimensionError, check_qubits
+from .errors import CBE_QUBITS, REFERENCE_QUBITS, ChannelError, DimensionError, check_qubits
 from .paulis import (
     CNOT,
     HADAMARD,
@@ -74,11 +75,12 @@ class KrausPairChannel:
 
     The pairs act on the encoding qubits named by `qubits` (all n, in order,
     when omitted), so each K_i and L_i is 2^len(qubits) square.  Building
-    one checks the qubits and pair shapes, runs check_cptp at that local
-    dimension and computes the (2, 2, local, local) class transfer, so every
-    channel that exists is trace preserving, keeps the XOR classes and needs
-    no further check to be applied.  A leak above rounding (1e-12) off the
-    classes raises ChannelError.  Every lift shares the base's transfer.
+    one checks the qubits (1 to REFERENCE_QUBITS) and pair shapes, runs
+    check_cptp at that local dimension and computes the (2, 2, local, local)
+    class transfer, so every channel that exists is trace preserving, keeps
+    the XOR classes and needs no further check to be applied.  A leak above
+    rounding (1e-12) off the classes raises ChannelError.  Lifts and Pauli
+    letter products are derived from checked channels (_derived).
     """
 
     n: int
@@ -88,10 +90,8 @@ class KrausPairChannel:
     transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.qubits is None:
-            qubits = tuple(range(self.n))
-        else:
-            qubits = _checked_qubits(self.qubits, self.n)
+        qubits = _checked_qubits(range(self.n) if self.qubits is None else self.qubits, self.n)
+        check_qubits(len(qubits), REFERENCE_QUBITS, "KrausPairChannel")
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "pairs", tuple(self.pairs))
         dim = 2 ** len(qubits)
@@ -109,13 +109,13 @@ class KrausPairChannel:
 
 
 def _checked_qubits(qubits, n: int) -> tuple:
-    """Qubit indices as a tuple; DimensionError unless distinct integers in 0..n-1."""
+    """Qubit indices as a tuple; DimensionError unless one or more distinct integers in 0..n-1."""
     try:
         qubits = tuple(operator.index(q) for q in qubits)
     except TypeError:
         raise DimensionError(f"qubit indices must be integers, got {qubits!r}") from None
-    if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
-        raise DimensionError(f"need distinct qubit indices in 0..{n - 1}, got {list(qubits)}")
+    if not qubits or len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
+        raise DimensionError(f"need one or more distinct qubits in 0..{n - 1}, got {list(qubits)}")
     return qubits
 
 
@@ -171,15 +171,11 @@ def _transfer_and_leak(pairs) -> tuple:
     transfer = (rows @ cols).reshape(2, m, 2, m).transpose(0, 2, 3, 1)
     walsh = kron_all([HADAMARD] * num_qubits(m))
     framed = walsh @ ms @ walsh
+    col = framed.transpose(3, 1, 2, 0).reshape(m, 2 * m, p)  # [j, (a, r), i]
+    image = np.abs(col @ col.conj().transpose(0, 2, 1)).reshape(m, 2, m, 2, m)  # [j, a, r, b, s]
     diagonal = np.arange(m)
-    step = max(1, (1 << 20) // (4 * m * m))  # projectors per product, about 2^20 image entries
-    leak = 0.0
-    for j in range(0, m, step):
-        col = framed[:, :, :, j : j + step].transpose(3, 1, 2, 0).reshape(-1, 2 * m, p)  # [j, (a, r), i]
-        image = np.abs(col @ col.conj().transpose(0, 2, 1)).reshape(-1, 2, m, 2, m)  # [j, a, r, b, s]
-        image[:, :, diagonal, :, diagonal] = 0.0
-        leak = max(leak, float(image.max()))
-    return transfer, leak
+    image[:, :, diagonal, :, diagonal] = 0.0
+    return transfer, float(image.max())
 
 
 def apply_channel(ch: KrausPairChannel, state: NdmeState) -> NdmeState:
@@ -243,46 +239,53 @@ def verify_po(ch: KrausPairChannel, V: np.ndarray, f0_variant: str, eta: float) 
 def pauli_channel(p: PauliString, f0_variant: str = "identity") -> KrausPairChannel:
     """eta = 1 channel implementing a signed Pauli string on the encoded state.
 
-    Built per qubit from the letter tables and, for a requested -1 sign,
-    flipping the sign of every L block once (a global Kraus phase would be
-    unobservable, the relative block sign is not).
+    The tensor product of its checked letter channels, so nothing is checked
+    again: Kronecker products of one letter pair per qubit, and the transfer
+    T_ab = T_ab(letter 0) (x) T_ab(letter 1) (x) ...  A -1 sign flips every L
+    block (the relative block sign is observable), negating T_01 and T_10.
     """
-    if f0_variant not in F0_VARIANTS:
-        raise ValueError(f"unknown F0 variant {f0_variant!r}")
-    table = _PAULI_PAIRS_IDENTITY if f0_variant == "identity" else _PAULI_PAIRS_PROJECTOR
-    pairs = [(np.eye(1, dtype=complex), np.eye(1, dtype=complex))]
+    s = p.phase  # a zero-qubit factor: (1, s) on the pairs, [[1, s], [s, 1]] on the transfer
+    pairs = [(np.ones((1, 1), dtype=complex), np.full((1, 1), s))]
+    transfer = np.array([[1, s], [s, 1]], dtype=complex).reshape(2, 2, 1, 1)
     for letter in p.letters:
-        pairs = [
-            (np.kron(K, k), np.kron(L, l))
-            for K, L in pairs
-            for k, l in table[letter]
-        ]
-    if p.phase == -1:
-        pairs = [(K, -L) for K, L in pairs]
-    return KrausPairChannel(n=p.n, pairs=pairs, eta=1.0)
+        ch = _library_channel(letter, f0_variant)
+        pairs = [(np.kron(K, k), np.kron(L, l)) for K, L in pairs for k, l in ch.pairs]
+        m = 2 * transfer.shape[2]
+        transfer = (transfer[:, :, :, None, :, None] * ch.transfer[:, :, None, :, None, :]).reshape(2, 2, m, m)
+    return _derived(n=p.n, pairs=tuple(pairs), eta=1.0, qubits=tuple(range(p.n)), transfer=transfer)
 
 
 def gate_channel(gate: str, f0_variant: str = "projector") -> KrausPairChannel:
-    """The optimal-attenuation channel for one library gate.
+    """The optimal-attenuation channel for one library gate, built once per process.
 
-    Pauli gates accept both F0 variants; the conjugated gates are defined
-    for the projector variant only.
+    Pauli gates accept both F0 variants and are pauli_channel's letters; the
+    conjugated gates are defined for the projector variant only.  Every call
+    returns the same shared channel, whose arrays are read-only.
     """
-    if gate in ("X", "Y", "Z"):
-        return pauli_channel(PauliString(1, gate), f0_variant)
-    if f0_variant != "projector":
+    if gate not in GATE_IDS:
+        raise ValueError(f"unknown gate {gate!r}")
+    return _library_channel(gate, f0_variant)
+
+
+@functools.cache
+def _library_channel(gate: str, f0_variant: str) -> KrausPairChannel:
+    """A Pauli letter (I too) or library gate from the checked constructor, arrays read-only."""
+    if f0_variant not in F0_VARIANTS:
+        raise ValueError(f"unknown F0 variant {f0_variant!r}")
+    n, eta = 1, 1.0
+    if gate in _PAULI_PAIRS_IDENTITY:
+        table = _PAULI_PAIRS_IDENTITY if f0_variant == "identity" else _PAULI_PAIRS_PROJECTOR
+        pairs = [(K.copy(), L.copy()) for K, L in table[gate]]  # paulis' I2, X, Z stay writable
+    elif f0_variant != "projector":
         raise ValueError(f"gate {gate} is only constructed for the projector variant")
-    if gate == "H":
-        half = [(I2, X), (Z, Z), (X, I2), (Y, Y)]
-        pairs = [(K / 2, L / 2) for K, L in half]
-        return KrausPairChannel(n=1, pairs=pairs, eta=1 / _SQRT2)
-    if gate == "HSH":
+    elif gate == "H":
+        eta = 1 / _SQRT2
+        pairs = [(K / 2, L / 2) for K, L in [(I2, X), (Z, Z), (X, I2), (Y, Y)]]
+    elif gate == "HSH":
         pairs = [(I2 / _SQRT2, _HSH_L1 / _SQRT2), (X / _SQRT2, _HSH_L2 / _SQRT2)]
-        return KrausPairChannel(n=1, pairs=pairs, eta=1.0)
-    if gate == "HTH":
+    elif gate == "HTH":
         pairs = [(I2 / _SQRT2, _HTH_L1 / _SQRT2), (X / _SQRT2, _HTH_L2 / _SQRT2)]
-        return KrausPairChannel(n=1, pairs=pairs, eta=1.0)
-    if gate == "HH_CNOT_HH":
+    else:  # HH_CNOT_HH, the last name gate_channel admits
         # Four equal pairs (A, A); the X-projectors on the control slot
         # assemble the all-zeros projector after the Bell-frame conjugation.
         plus = (I2 + X) / 2
@@ -293,9 +296,18 @@ def gate_channel(gate: str, f0_variant: str = "projector") -> KrausPairChannel:
             kron_all([minus, Y]),
             kron_all([minus, Z]),
         ]
-        pairs = [(A / _SQRT2, A / _SQRT2) for A in blocks]
-        return KrausPairChannel(n=2, pairs=pairs, eta=1.0)
-    raise ValueError(f"unknown gate {gate!r}")
+        n, pairs = 2, [(A / _SQRT2, A / _SQRT2) for A in blocks]
+    ch = KrausPairChannel(n=n, pairs=pairs, eta=eta)
+    for array in (*(M for pair in ch.pairs for M in pair), ch.transfer):
+        array.flags.writeable = False
+    return ch
+
+
+def _derived(**fields) -> KrausPairChannel:
+    """A channel derived from checked ones (a lift or a letter product), stored unchecked."""
+    ch = object.__new__(KrausPairChannel)
+    ch.__dict__.update(fields)
+    return ch
 
 
 def gate_target_unitary(gate: str) -> np.ndarray:
@@ -320,18 +332,14 @@ def embed_channel(ch: KrausPairChannel, qubits, n: int) -> KrausPairChannel:
     Qubit j of ch becomes qubits[j].  The checked pairs are kept as they are
     and only the qubit labels change, so the lift is not checked again: its
     Kraus sums on the n qubits are the base sums tensored with the identity.
-    The lift shares the base's class transfer array, so a program computes
-    one per library gate.
+    The lift shares the base's class transfer array, which the library
+    gates compute once per process.
     """
     qubits = _checked_qubits(qubits, n)
     if len(qubits) != ch.n:
         raise DimensionError(f"need {ch.n} qubit indices, got {list(qubits)}")
-    lifted = object.__new__(KrausPairChannel)
     placed = tuple(qubits[q] for q in ch.qubits)
-    fields = (("n", n), ("pairs", ch.pairs), ("eta", ch.eta), ("qubits", placed), ("transfer", ch.transfer))
-    for name, value in fields:
-        object.__setattr__(lifted, name, value)
-    return lifted
+    return _derived(n=n, pairs=ch.pairs, eta=ch.eta, qubits=placed, transfer=ch.transfer)
 
 
 def _matrix_to_wire(M: np.ndarray) -> list:

@@ -1,8 +1,8 @@
 """Dissipative block dynamics from a signed Pauli Hamiltonian.
 
 Each Hamiltonian term lambda_i P_i becomes the jump F_i = diag(K_i, L_i)
-whose pair (K_i, L_i) is the identity-variant Pauli channel of -P_i, the
-same channel the gate library builds: the Bell-frame conjugation of
+whose pair (K_i, L_i) is the identity-variant Pauli channel of -P_i, a
+product of one-qubit letter channels: the Bell-frame conjugation of
 K_i (x) conj(L_i) equals -I (x) P_i.  Each jump carries its class
 transfer T_i, so on class values the dissipator
 sum_i lambda_i (F_i rho F_i^dag - rho) is the generator

@@ -251,6 +251,10 @@ def test_po_target_variant_validation():
         po_target(HADAMARD, "diagonal", 1)
     with pytest.raises(ValueError):
         gate_channel("HTH", "identity")
+    with pytest.raises(ValueError, match="unknown F0 variant"):
+        gate_channel("X", "diagonal")
+    with pytest.raises(ValueError, match="unknown gate"):
+        gate_channel("I")  # a letter of pauli_channel, not a library gate
 
 
 def test_wire_format_roundtrip():
@@ -377,6 +381,7 @@ def test_embedded_channel_keeps_local_pairs():
         ((0,), 2, 4),  # one qubit, 4x4 pairs
         ((0.0,), 1, 2),  # not an integer
         (3, 4, 2),  # not a sequence
+        (None, 0, 1),  # no qubits
     ],
 )
 def test_bad_qubits_are_rejected_when_built(qubits, n, pair_dim):
@@ -479,28 +484,89 @@ def test_transfer_matches_the_dense_kernel(n):
 
 
 def test_transfer_is_computed_at_construction_once_per_base(monkeypatch):
+    # letters and library gates compute their transfer once per process; Pauli
+    # channels, jumps and lifts are derived from them and check nothing again
     import pauliblock.channels as channels
     from pauliblock.lindblad import build_jumps, parse_hamiltonian
 
-    calls = []
-    real = channels._transfer_and_leak
-    monkeypatch.setattr(channels, "_transfer_and_leak", lambda pairs: calls.append(1) or real(pairs))
-    build_jumps(parse_hamiltonian("qubits 2\n1.0 -ZZ\n1.0 -XX\n0.5 +XI\n"))
-    assert len(calls) == 3  # one per jump
+    pauli_channel(PauliString(1, "IXYZ"), "identity")
+    pauli_channel(PauliString(1, "IXYZ"), "projector")
     base = gate_channel("HH_CNOT_HH")
-    assert len(calls) == 4
+    calls = []
+    real_transfer, real_cptp = channels._transfer_and_leak, channels.check_cptp
+    monkeypatch.setattr(channels, "_transfer_and_leak", lambda pairs: calls.append(1) or real_transfer(pairs))
+    monkeypatch.setattr(channels, "check_cptp", lambda ch: calls.append(1) or real_cptp(ch))
+    jumps = build_jumps(parse_hamiltonian("qubits 6\n1.0 -ZXZIII\n1.0 -XXYYZI\n0.5 +IIIIII\n"))
+    assert len(jumps) == 3
+    for variant in F0_VARIANTS:
+        pauli_channel(PauliString(-1, "XYZIXY"), variant)
+    assert calls == []
+    assert gate_channel("HH_CNOT_HH") is base
     lift = embed_channel(base, [3, 1], 5)
-    assert len(calls) == 4 and lift.transfer is base.transfer
+    assert lift.transfer is base.transfer and lift.pairs is base.pairs
     rng = np.random.default_rng(5)
     monkeypatch.setattr(suites, "EXTRA_GATES", 27)
-    circ = random_circuit(rng, 5, k=3)
-    del calls[:]
-    prog = compile_circuit(circ)
-    assert 1 <= len(calls) == len({name for name, _ in circ.gates}) <= 4
+    prog = compile_circuit(random_circuit(rng, 5, k=3))
     del calls[:]
     run_program(prog, encode_state_optimal(random_statevector(5, rng)))
     run_program(prog, encode_state_optimal(random_statevector(5, rng)))
     assert calls == []
+
+
+def test_bad_qubit_counts_are_refused_before_any_check(monkeypatch):
+    import pauliblock.channels as channels
+
+    monkeypatch.setattr(channels, "check_cptp", lambda ch: pytest.fail("checked Kraus sums"))
+    monkeypatch.setattr(channels, "_transfer_and_leak", lambda pairs: pytest.fail("computed a transfer"))
+    one = np.eye(1, dtype=complex)
+    for n, qubits in ((0, None), (-1, None), (2, ())):
+        with pytest.raises(DimensionError, match="one or more distinct qubits"):
+            KrausPairChannel(n=n, pairs=[(one, one)], qubits=qubits)
+    eye = np.eye(2**7, dtype=complex)
+    with pytest.raises(DimensionError, match="capped at 6 qubits, got 7"):
+        KrausPairChannel(n=7, pairs=[(eye, eye)])
+
+
+def test_shared_library_arrays_are_read_only():
+    for gate, variant in LIBRARY:
+        ch = gate_channel(gate, variant)
+        assert gate_channel(gate, variant) is ch
+        for array in (*(M for pair in ch.pairs for M in pair), ch.transfer):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_negative_pauli_channel_negates_its_own_arrays():
+    for variant in F0_VARIANTS:
+        letter = gate_channel("Y", variant)
+        kept = [M.copy() for pair in letter.pairs for M in pair] + [letter.transfer.copy()]
+        ch = pauli_channel(PauliString(-1, "Y"), variant)
+        for (K, L), (k, l) in zip(ch.pairs, letter.pairs, strict=True):
+            assert np.array_equal(K, k) and np.array_equal(L, -l)
+        cross, diag = ([0, 1], [1, 0]), ([0, 1], [0, 1])
+        assert np.array_equal(ch.transfer[cross], -letter.transfer[cross])
+        assert np.array_equal(ch.transfer[diag], letter.transfer[diag])
+        assert all(M.flags.writeable for pair in ch.pairs for M in pair) and ch.transfer.flags.writeable
+        after = [M for pair in letter.pairs for M in pair] + [letter.transfer]
+        assert all(np.array_equal(a, b) for a, b in zip(kept, after, strict=True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_pauli_channel_matches_the_generic_kernel(n):
+    # the letter product against _transfer_and_leak on its own pairs, the all-I string included
+    rng = np.random.default_rng(40 + n)
+    strings = ["I" * n] + ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3)]
+    for text in strings:
+        p = PauliString(int(rng.choice([1, -1])), text)
+        for variant in F0_VARIANTS:
+            ch = pauli_channel(p, variant)
+            transfer, leak = _transfer_and_leak(ch.pairs)
+            if variant == "identity":
+                assert np.array_equal(ch.transfer, transfer)
+            else:
+                assert np.abs(ch.transfer - transfer).max() <= 1e-14
+            assert leak <= 1e-15
+            assert check_cptp(ch) <= 1e-12
 
 
 def test_class_built_states_match_the_dense_kernel():

@@ -735,6 +735,8 @@ def test_lindblad_dt_audit_shares_one_eigensolve(tmp_path, capsys, monkeypatch):
 def test_lindblad_dt_audit_builds_each_jump_once(tmp_path, capsys, monkeypatch):
     from pauliblock import channels, lindblad
 
+    # the letters are built once per process; every jump is their product
+    channels.pauli_channel(PauliString(1, "IXYZ"), "identity")
     path = tmp_path / "three.txt"
     path.write_text("qubits 3\n1.0 -ZZI\n1.0 -IZZ\n0.5 -XXX\n")
     builds, transfers = [], []
@@ -744,4 +746,4 @@ def test_lindblad_dt_audit_builds_each_jump_once(tmp_path, capsys, monkeypatch):
     argv = ["lindblad", "--hamiltonian", str(path), "--t-max", "1", "--dt", "1e-3", "--dt-audit"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and json.loads(out)["dt_audit_ratio"] is not None
-    assert len(builds) == 1 and len(transfers) == 3
+    assert len(builds) == 1 and transfers == []

@@ -173,15 +173,21 @@ def test_program_wire_roundtrip():
 
 
 def test_compile_builds_each_library_channel_once(monkeypatch):
-    import pauliblock.compiler as compiler
+    import pauliblock.channels as channels
+    from pauliblock.compiler import _GATE_TO_CHANNEL
 
-    built = []
-    original = compiler.gate_channel
-    monkeypatch.setattr(compiler, "gate_channel", lambda g: built.append(g) or original(g))
     circ = parse_circuit("qubits 3\nH 0\nH 1\nT 2\nT 0\nCNOT 0 1\nCNOT 1 2\nS 0\nH 2\n")
+    first = compile_circuit(circ)
+    built = []
+    real_transfer, real_cptp = channels._transfer_and_leak, channels.check_cptp
+    monkeypatch.setattr(channels, "_transfer_and_leak", lambda pairs: built.append(1) or real_transfer(pairs))
+    monkeypatch.setattr(channels, "check_cptp", lambda ch: built.append(1) or real_cptp(ch))
     prog = compile_circuit(circ)
-    assert sorted(built) == ["H", "HH_CNOT_HH", "HSH", "HTH"]
-    assert len(prog.channels) == len(circ.gates)
+    assert built == [] and len(prog.channels) == len(circ.gates)
+    for (name, _), ch, before in zip(circ.gates, prog.channels, first.channels, strict=True):
+        base = channels.gate_channel(_GATE_TO_CHANNEL[name])
+        assert channels.gate_channel(_GATE_TO_CHANNEL[name]) is base
+        assert ch.transfer is base.transfer and before.transfer is base.transfer
 
 
 def test_compile_builds_no_dense_blocks(monkeypatch):
